@@ -4,7 +4,8 @@ Subcommands: construct, baseline, bench, verify, sample, feasibility.
 Every command reads stdin when the input path is "-", supports
 --format {json,csv}, and writes to --out (default stdout). Exit codes:
 0 success, 1 infeasible-as-requested, 2 input error (with machine-readable
-error JSON on stderr), 3 internal invariant failure.
+error JSON on stderr), 3 internal invariant failure or any other crash
+(error kind "internal"); no traceback is printed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +63,15 @@ def _error_kind(exc: Exception) -> str:
 
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+
+
+def _crash_message(exc: Exception) -> str:
+    """Exception type, message and the innermost frame, on one line."""
+    import traceback  # only a crash pays for it
+
+    frames = traceback.extract_tb(exc.__traceback__)
+    where = f" at {Path(frames[-1].filename).name}:{frames[-1].lineno}" if frames else ""
+    return f"{type(exc).__name__}: {exc}{where}"
 
 
 def _read_json(path: str):
@@ -386,6 +397,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return 2
+    except Exception as exc:  # a crash is exit 3, never exit 1 ("infeasible")
+        _emit_error("internal", _crash_message(exc))
+        return 3
 
 
 if __name__ == "__main__":

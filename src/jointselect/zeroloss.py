@@ -1,11 +1,22 @@
 """Zero-loss construction: exact marginals whenever no arm is too popular.
 
 If every popularity satisfies S_i <= T, a conflict-free matrix reproducing
-both preference vectors exactly can be built by induction on the number of
-arms: peel off the least popular arm K by filling its row and column, which
-reduces the problem to N-1 arms with total T - S_K, and bottom out at an
-explicit three-arm solution. Two arms are handled as a direct input case
-only (the recursion never descends below three).
+both preference vectors exactly exists, by induction on the number of
+arms: peel off the least popular arm K by filling its row and column,
+which reduces the problem to N-1 arms with total T - S_K, and bottom out
+at an explicit three-arm solution. Two arms are handled as a direct input
+case only (the peel never goes below three).
+
+`construct_zero_loss` runs that induction as one flat loop over the
+original arm indices. Heaps keyed (S_i, i) and (-S_i, i), with stale
+entries dropped when they surface, pick K and V with ties going to the
+lowest index. Each peel writes one row and one column of (i, j, value)
+cells and updates only the weights and popularities of the arms it
+touched, so an N-arm instance costs O(N log N) outside the final dense
+scatter. The result is a basic feasible solution of a transportation
+problem: at most 2N - 1 nonzero entries. Row and column marginals are
+checked once, at the end. `fill_row_col`, `reduce_instance` and
+`base_case_three` expose the single steps on validated instances.
 
 The three-arm solution is a one-parameter family in p = P[0, 1]:
 
@@ -21,16 +32,20 @@ For N >= 4 the row/column fill of arm K splits into three exhaustive cases
 driven by the least popular arm K and the most popular arm V: either both
 of K's preferences fit opposite V (case 1), or A_K overflows B_V and spills
 across the other arms' B-weights in ascending index order (case 2), or
-symmetrically B_K overflows A_V (case 3).
+symmetrically B_K overflows A_V (case 3). A spill uses up every arm before
+the one it cuts, so each player keeps one spill pointer: arms before it
+have nothing left to give.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    ENTRY_CLAMP,
     JointSelectionMatrix,
     ProblemInstance,
     Vec,
@@ -41,7 +56,9 @@ from .errors import (
     CaseDispatchError,
     InfeasibleTwoArmError,
     InternalInvariantError,
+    NegativeWeightError,
     PopularityExceedsTotalError,
+    TotalMismatchError,
     ValidationError,
 )
 
@@ -62,13 +79,16 @@ class RowColFill:
     cut: int | None = None
 
 
-def _check_feasible(inst: ProblemInstance) -> None:
-    s_max = float(inst.popularity.max())
-    if s_max > inst.total + _tol(inst.total):
+def _require_feasible(s_max: float, total: float) -> None:
+    if s_max > total + _tol(total):
         raise PopularityExceedsTotalError(
-            f"max popularity {s_max:.17g} exceeds total {inst.total:.17g}; "
+            f"max popularity {s_max:.17g} exceeds total {total:.17g}; "
             "zero loss is unattainable (use the minimum-loss construction)"
         )
+
+
+def _check_feasible(inst: ProblemInstance) -> None:
+    _require_feasible(float(inst.popularity.max()), inst.total)
 
 
 def base_case_interval(inst: ProblemInstance) -> tuple[float, float]:
@@ -101,13 +121,52 @@ def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     return JointSelectionMatrix(entries, t)
 
 
-def _pick_k_v(s: Vec) -> tuple[int, int]:
-    """Least and most popular arms, lowest index on ties, guaranteed distinct."""
-    k = int(np.argmin(s))
-    masked = s.copy()
-    masked[k] = -np.inf
-    v = int(np.argmax(masked))
-    return k, v
+def _spill(w, rem: float, k: int, v: int, alive, start: int, tol: float, case: int):
+    """Spend ``rem`` on the weights ``w`` of live arms other than K and V.
+
+    Arms are taken in ascending index order from ``start``; each gives all
+    its weight until one can cover what is left and takes the partial
+    remainder. Returns the (arm, value) cells, that cut arm (None if the
+    weights ran out first) and the budget left over.
+    """
+    cells = []
+    for j in range(start, len(w)):
+        if j == k or j == v or not alive[j]:
+            continue
+        if rem <= w[j]:
+            cells.append((j, rem))
+            return cells, j, 0.0
+        cells.append((j, w[j]))
+        rem -= w[j]
+    # feasibility guarantees the budget is consumed; anything left is
+    # float dust, parked opposite V to keep the row (column) sum exact
+    if rem > tol:
+        raise InternalInvariantError(f"case-{case} fill left budget {rem:.3e}")
+    return cells, None, rem
+
+
+def _fill_cells(a, b, k: int, v: int, tol: float, alive, start_a: int, start_b: int):
+    """The three fill cases, on weights indexed by arm.
+
+    Returns (case, cut, row, col): ``row`` holds the (j, value) cells of
+    entries (K, j), ``col`` the (i, value) cells of entries (i, K). Case 2
+    spills over B from arm ``start_b`` on, case 3 over A from ``start_a``.
+    """
+    ak, bk, av, bv = a[k], b[k], a[v], b[v]
+    case_one = ak <= bv and bk <= av
+    case_two = ak > bv
+    case_three = bk > av
+    if case_two and case_three:
+        raise InternalInvariantError("cases 2 and 3 cannot hold together (S_K > S_V)")
+    if not (case_one or case_two or case_three):
+        raise CaseDispatchError(f"no fill case applies at K={k}, V={v}")
+    if case_one:
+        return 1, None, [(v, ak)], [(v, bk)]
+    if case_two:
+        spill, cut, rem = _spill(b, ak - bv, k, v, alive, start_b, tol, 2)
+        return 2, cut, [(v, bv if cut is not None else bv + rem), *spill], [(v, bk)]
+    spill, cut, rem = _spill(a, bk - av, k, v, alive, start_a, tol, 3)
+    return 3, cut, [(v, ak)], [(v, av if cut is not None else av + rem), *spill]
 
 
 def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
@@ -120,7 +179,7 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
     Case 3 (B_K > A_V): the mirror image with players swapped.
     """
     n, t = inst.n, inst.total
-    a, b, s = inst.a, inst.b, inst.popularity
+    s = inst.popularity
     if n < 4:
         raise ValidationError(f"row/column fill is an induction step for N >= 4, got {n}")
     if k == v:
@@ -139,63 +198,13 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
             f"popularity violators {violators} are not limited to the argmax arm {v}"
         )
 
-    case_one = a[k] <= b[v] and b[k] <= a[v]
-    case_two = a[k] > b[v]
-    case_three = b[k] > a[v]
-    if case_two and case_three:
-        raise InternalInvariantError("cases 2 and 3 cannot hold together (S_K > S_V)")
-    if not (case_one or case_two or case_three):
-        raise CaseDispatchError(f"no fill case applies at K={k}, V={v}")
-
+    case, cut, row_cells, col_cells = _fill_cells(inst.a, inst.b, k, v, tol, [True] * n, 0, 0)
     row = np.zeros(n)
     col = np.zeros(n)
-    cut: int | None = None
-
-    if case_one:
-        case = 1
-        row[v] = a[k]
-        col[v] = b[k]
-    elif case_two:
-        case = 2
-        row[v] = b[v]
-        col[v] = b[k]
-        rem = a[k] - b[v]
-        for j in range(n):
-            if j == k or j == v:
-                continue
-            if rem <= b[j]:
-                row[j] = rem
-                rem = 0.0
-                cut = j
-                break
-            row[j] = b[j]
-            rem -= b[j]
-        else:
-            # feasibility guarantees the budget is consumed; anything left is
-            # float dust, parked opposite V to keep the row sum exact
-            if rem > tol:
-                raise InternalInvariantError(f"case-2 fill left budget {rem:.3e}")
-            row[v] += rem
-    else:
-        case = 3
-        col[v] = a[v]
-        row[v] = a[k]
-        rem = b[k] - a[v]
-        for i in range(n):
-            if i == k or i == v:
-                continue
-            if rem <= a[i]:
-                col[i] = rem
-                rem = 0.0
-                cut = i
-                break
-            col[i] = a[i]
-            rem -= a[i]
-        else:
-            if rem > tol:
-                raise InternalInvariantError(f"case-3 fill left budget {rem:.3e}")
-            col[v] += rem
-
+    for j, x in row_cells:
+        row[j] = x
+    for i, x in col_cells:
+        col[i] = x
     row.setflags(write=False)
     col.setflags(write=False)
     return RowColFill(k, row, col, case, cut)
@@ -213,6 +222,54 @@ def reduce_instance(inst: ProblemInstance, fill: RowColFill) -> ProblemInstance:
             "reduction produced an arm more popular than the reduced total"
         )
     return reduced
+
+
+def _take(w: list, cells, total: float, w_sum: float) -> float:
+    """Subtract the cells from the weights in place; returns their new sum.
+
+    The same checks a reduced instance passes: entries below -1e-12 are an
+    error, smaller negatives clamp to 0, and the weights must still sum to
+    the reduced total.
+    """
+    for i, x in cells:
+        old = w[i]
+        new = old - x
+        if new < -ENTRY_CLAMP:
+            raise NegativeWeightError(
+                f"preference weights has negative entries beyond the {-ENTRY_CLAMP:g} "
+                f"clamp: min = {new:.3e}"
+            )
+        if new < 0.0:
+            new = 0.0
+        w[i] = new
+        w_sum += new - old
+    if abs(w_sum - total) > _tol(total):
+        raise TotalMismatchError(
+            f"weights sum to {w_sum:.17g}, declared total is {total:.17g}"
+        )
+    return w_sum
+
+
+def _top(heap: list, sign: float, s: list, alive: list) -> int:
+    """Arm at the top of a lazy popularity heap, dropping stale entries first.
+
+    Popularities only fall, and an arm is pushed again only when its value
+    changed, so an entry is current exactly when it still equals S_i.
+    """
+    while True:
+        key, i = heap[0]
+        if alive[i] and sign * key == s[i]:
+            return i
+        heapq.heappop(heap)
+
+
+def _runner_up(high: list, s: list, alive: list) -> float:
+    """Second-highest live popularity, for a max-heap whose top is current."""
+    top = heapq.heappop(high)
+    try:
+        return s[_top(high, -1.0, s, alive)]
+    finally:
+        heapq.heappush(high, top)
 
 
 def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
@@ -234,24 +291,86 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     if n == 3:
         return base_case_three(inst)
 
-    k, v = _pick_k_v(inst.popularity)
-    fill = fill_row_col(inst, k, v)
-    reduced = reduce_instance(inst, fill)
-    sub = construct_zero_loss(reduced)
+    a, b, s = inst.a.tolist(), inst.b.tolist(), inst.popularity.tolist()
+    alive = [True] * n
+    low = [(x, i) for i, x in enumerate(s)]
+    high = [(-x, i) for i, x in enumerate(s)]
+    heapq.heapify(low)
+    heapq.heapify(high)
+    sum_a, sum_b = float(inst.a.sum()), float(inst.b.sum())
+    start_a = start_b = 0
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    total = t
+    for _ in range(n - 3):
+        tol = _tol(total)
+        k = _top(low, 1.0, s, alive)
+        heapq.heappop(low)
+        alive[k] = False
+        v = _top(high, -1.0, s, alive)
+        _require_feasible(s[v], total)
 
+        # At most one arm can violate S_i <= T - S_K, and only the most
+        # popular one (a second violator would push the sum past 2T).
+        headroom = total - s[k]
+        if s[v] > headroom + tol and _runner_up(high, s, alive) > headroom + tol:
+            violators = [i for i in range(n) if alive[i] and s[i] > headroom + tol]
+            raise InternalInvariantError(
+                f"popularity violators {violators} are not limited to the argmax arm {v}"
+            )
+
+        case, cut, row, col = _fill_cells(a, b, k, v, tol, alive, start_a, start_b)
+        if case == 2:
+            start_b = n if cut is None else cut
+        elif case == 3:
+            start_a = n if cut is None else cut
+
+        for j, x in row:
+            rows.append(k)
+            cols.append(j)
+            vals.append(x)
+        for i, x in col:
+            rows.append(i)
+            cols.append(k)
+            vals.append(x)
+        new_total = total - s[k]
+        sum_a = _take(a, col, new_total, sum_a - a[k])
+        sum_b = _take(b, row, new_total, sum_b - b[k])
+        for i, _ in row + col:
+            popularity = a[i] + b[i]
+            if popularity != s[i]:
+                s[i] = popularity
+                heapq.heappush(low, (popularity, i))
+                heapq.heappush(high, (-popularity, i))
+        if s[_top(high, -1.0, s, alive)] > new_total + tol:
+            raise InternalInvariantError(
+                "reduction produced an arm more popular than the reduced total"
+            )
+        total = new_total
+
+    live = [i for i in range(n) if alive[i]]
+    base = base_case_three(
+        validate_instance([a[i] for i in live], [b[i] for i in live], total)
+    ).entries
+    for r, i in enumerate(live):
+        for c, j in enumerate(live):
+            if r != c:
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(base[r, c]))
+
+    r_idx, c_idx, x = np.array(rows), np.array(cols), np.array(vals)
+    miss = max(
+        float(np.abs(np.bincount(r_idx, weights=x, minlength=n) - inst.a).max()),
+        float(np.abs(np.bincount(c_idx, weights=x, minlength=n) - inst.b).max()),
+    )
+    if miss > _tol(t):
+        raise InternalInvariantError(
+            f"assembled marginals miss the preferences by {miss:.3e}"
+        )
     entries = np.zeros((n, n))
-    keep = np.delete(np.arange(n), k)
-    entries[k, :] = fill.row_k
-    entries[:, k] = fill.col_k
-    entries[np.ix_(keep, keep)] = sub.entries
-
-    # guard from the numerical contract: per-row renormalization only if the
-    # assembled total drifted past tolerance (never expected to fire)
-    drift = abs(float(entries.sum()) - t)
-    if drift > _tol(t):
-        row_sums = entries.sum(axis=1)
-        scale = np.divide(inst.a, row_sums, out=np.ones(n), where=row_sums > 0)
-        entries *= scale[:, None]
+    entries[r_idx, c_idx] = x
     return JointSelectionMatrix(entries, t)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import jointselect.cli as cli
+import jointselect.minloss as minloss
 from jointselect import InternalInvariantError, matrix_from_json
 from jointselect.cli import main
 
@@ -383,3 +384,41 @@ def test_subcommand_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --------------------------------------------------------------------------
+# crashes and large inputs
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("crash", [RuntimeError, RecursionError, MemoryError])
+def test_unexpected_crash_exits_three_without_traceback(capsys, table1_file, monkeypatch,
+                                                        crash):
+    def explode(inst):
+        raise crash("forced for the exit-code test")
+
+    monkeypatch.setattr(minloss, "construct_zero_loss", explode)
+    code, out, err = run(capsys, "construct", table1_file)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    payload = stderr_error(err)
+    assert payload["error"] == "internal"
+    assert payload["message"].startswith(f"{crash.__name__}: forced for the exit-code test")
+
+
+def test_construct_large_instance_exits_zero(capsys, tmp_path):
+    # N = 1200 is past the depth at which a recursive peel overflows the
+    # interpreter's default recursion limit.
+    rng = np.random.default_rng(1200)
+    while True:
+        a, b = rng.dirichlet(np.ones(1200)), rng.dirichlet(np.ones(1200))
+        if (a + b).max() <= 1.0:
+            break
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"a": a.tolist(), "b": b.tolist()}))
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "construct", str(path), "--out", str(out))
+    assert code == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["branch"] == "zero-loss"
+    assert payload["n"] == 1200
