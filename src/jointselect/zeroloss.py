@@ -299,9 +299,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     heapq.heapify(high)
     sum_a, sum_b = float(inst.a.sum()), float(inst.b.sum())
     start_a = start_b = 0
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    cells: list[tuple[int, int, float]] = []  # (i, j, P[i, j]) of every peeled row and column
     total = t
     for _ in range(n - 3):
         tol = _tol(total)
@@ -326,14 +324,8 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
         elif case == 3:
             start_a = n if cut is None else cut
 
-        for j, x in row:
-            rows.append(k)
-            cols.append(j)
-            vals.append(x)
-        for i, x in col:
-            rows.append(i)
-            cols.append(k)
-            vals.append(x)
+        cells.extend((k, j, x) for j, x in row)
+        cells.extend((i, k, x) for i, x in col)
         new_total = total - s[k]
         sum_a = _take(a, col, new_total, sum_a - a[k])
         sum_b = _take(b, row, new_total, sum_b - b[k])
@@ -350,27 +342,17 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
         total = new_total
 
     live = [i for i in range(n) if alive[i]]
-    base = base_case_three(
-        validate_instance([a[i] for i in live], [b[i] for i in live], total)
-    ).entries
-    for r, i in enumerate(live):
-        for c, j in enumerate(live):
-            if r != c:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(base[r, c]))
-
-    r_idx, c_idx, x = np.array(rows), np.array(cols), np.array(vals)
+    base = base_case_three(validate_instance([a[i] for i in live], [b[i] for i in live], total))
+    entries = np.zeros((n, n))
+    rows, cols, vals = zip(*cells)
+    entries[rows, cols] = vals
+    entries[np.ix_(live, live)] = base.entries
     miss = max(
-        float(np.abs(np.bincount(r_idx, weights=x, minlength=n) - inst.a).max()),
-        float(np.abs(np.bincount(c_idx, weights=x, minlength=n) - inst.b).max()),
+        float(np.abs(entries.sum(axis=1) - inst.a).max()),
+        float(np.abs(entries.sum(axis=0) - inst.b).max()),
     )
     if miss > _tol(t):
-        raise InternalInvariantError(
-            f"assembled marginals miss the preferences by {miss:.3e}"
-        )
-    entries = np.zeros((n, n))
-    entries[r_idx, c_idx] = x
+        raise InternalInvariantError(f"assembled marginals miss the preferences by {miss:.3e}")
     return JointSelectionMatrix(entries, t)
 
 
