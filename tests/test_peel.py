@@ -230,12 +230,16 @@ def test_flat_peel_matches_reference_across_dispatch_band(pair):
 # --------------------------------------------------------------------------
 
 def test_large_n_needs_no_recursion_and_keeps_a_tree_support():
-    assert sys.getrecursionlimit() <= 1000
     rng = np.random.default_rng(20226)
     n = 2000
     a, b = dirichlet_within(rng, n, 1.0)
     inst = validate_instance(a, b)
-    e = construct_zero_loss(inst).entries
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        e = construct_zero_loss(inst).entries
+    finally:
+        sys.setrecursionlimit(limit)
     assert int(np.count_nonzero(e > 1e-12)) <= 2 * n - 1
     assert np.abs(e.sum(axis=1) - inst.a).max() <= 1e-9
     assert np.abs(e.sum(axis=0) - inst.b).max() <= 1e-9
