@@ -127,7 +127,7 @@ def _spill(w, rem: float, k: int, v: int, alive, start: int, tol: float, case: i
     Arms are taken in ascending index order from ``start``; each gives all
     its weight until one can cover what is left and takes the partial
     remainder. Returns the (arm, value) cells, that cut arm (None if the
-    weights ran out first) and the budget left over.
+    weights ran out first) and the budget left over (0 after a cut).
     """
     cells = []
     for j in range(start, len(w)):
@@ -164,9 +164,9 @@ def _fill_cells(a, b, k: int, v: int, tol: float, alive, start_a: int, start_b: 
         return 1, None, [(v, ak)], [(v, bk)]
     if case_two:
         spill, cut, rem = _spill(b, ak - bv, k, v, alive, start_b, tol, 2)
-        return 2, cut, [(v, bv if cut is not None else bv + rem), *spill], [(v, bk)]
+        return 2, cut, [(v, bv + rem), *spill], [(v, bk)]
     spill, cut, rem = _spill(a, bk - av, k, v, alive, start_a, tol, 3)
-    return 3, cut, [(v, ak)], [(v, av if cut is not None else av + rem), *spill]
+    return 3, cut, [(v, ak)], [(v, av + rem), *spill]
 
 
 def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
