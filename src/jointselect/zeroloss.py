@@ -266,10 +266,9 @@ def _top(heap: list, sign: float, s: list, alive: list) -> int:
 def _runner_up(high: list, s: list, alive: list) -> float:
     """Second-highest live popularity, for a max-heap whose top is current."""
     top = heapq.heappop(high)
-    try:
-        return s[_top(high, -1.0, s, alive)]
-    finally:
-        heapq.heappush(high, top)
+    second = s[_top(high, -1.0, s, alive)]
+    heapq.heappush(high, top)
+    return second
 
 
 def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:

@@ -163,9 +163,6 @@ def outcome(build, inst):
 
 
 def assert_matches_reference(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if (a + b).max() > 1.0 + 1e-9:
-        return
     inst = validate_instance(a, b)
     got = outcome(lambda x: construct_zero_loss(x).entries, inst)
     want = outcome(reference_entries, inst)
