@@ -10,14 +10,12 @@ independent convex-QP oracle, a benchmark sweep, and a CLI round it out.
 """
 
 from .baselines import (
-    DEGENERATE_TOL,
     random_order,
     random_order_degeneracies,
     simultaneous_renormalization,
     uniform_random,
 )
 from .bench import (
-    CSV_HEADER,
     FAMILIES,
     FULL_RANGE,
     METHODS,
@@ -28,12 +26,8 @@ from .bench import (
     write_csv,
 )
 from .core import (
-    ENTRY_CLAMP,
-    SUM_RTOL,
     JointSelectionMatrix,
-    PreferenceProfile,
     ProblemInstance,
-    SatisfiedPreferences,
     instance_from_json,
     instance_to_json,
     loss,
@@ -46,10 +40,8 @@ from .core import (
     validate_instance,
 )
 from .errors import (
-    CaseDispatchError,
     DegenerateProductError,
     DimensionMismatchError,
-    DimensionTooLargeError,
     InfeasibleTwoArmError,
     InternalInvariantError,
     InvalidArmCountError,
@@ -65,11 +57,6 @@ from .errors import (
     ValidationError,
 )
 from .minloss import (
-    RESIDUAL_TOL,
-    ConvexityReport,
-    KktCertificate,
-    KktResiduals,
-    OptimalResult,
     convexity_check,
     kkt_verify,
     loss_hessian,
@@ -78,12 +65,8 @@ from .minloss import (
     optimal_satisfaction_matrix,
 )
 from .multiplayer import (
-    MAX_ARMS,
-    MAX_PLAYERS,
     Feasibility,
     JointTensorSparse,
-    MultiOracleResult,
-    MultiPreferences,
     feasibility_verdict,
     multi_loss,
     solve_multi_min_loss,
@@ -91,9 +74,8 @@ from .multiplayer import (
     tensor_marginals,
     validate_multi,
 )
-from .oracle import MAX_ORACLE_ARMS, OracleResult, project_simplex, solve_min_loss
+from .oracle import project_simplex, solve_min_loss
 from .zeroloss import (
-    RowColFill,
     base_case_interval,
     base_case_three,
     construct_zero_loss,
@@ -105,14 +87,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRecord",
-    "CSV_HEADER",
-    "CaseDispatchError",
-    "ConvexityReport",
-    "DEGENERATE_TOL",
     "DegenerateProductError",
     "DimensionMismatchError",
-    "DimensionTooLargeError",
-    "ENTRY_CLAMP",
     "FAMILIES",
     "FULL_RANGE",
     "Feasibility",
@@ -122,27 +98,13 @@ __all__ = [
     "JointSelectError",
     "JointSelectionMatrix",
     "JointTensorSparse",
-    "KktCertificate",
-    "KktResiduals",
     "LengthMismatchError",
-    "MAX_ARMS",
-    "MAX_ORACLE_ARMS",
-    "MAX_PLAYERS",
     "METHODS",
-    "MultiOracleResult",
-    "MultiPreferences",
     "NegativeWeightError",
     "NonDistinctKeyError",
     "NotApplicableError",
-    "OptimalResult",
-    "OracleResult",
     "PopularityExceedsTotalError",
-    "PreferenceProfile",
     "ProblemInstance",
-    "RESIDUAL_TOL",
-    "RowColFill",
-    "SUM_RTOL",
-    "SatisfiedPreferences",
     "TooFewArmsError",
     "TotalMismatchError",
     "TotalNotOneError",

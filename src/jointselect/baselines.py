@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SUM_RTOL, JointSelectionMatrix, ProblemInstance
-from .errors import DegenerateProductError, TotalNotOneError, ValidationError
+from .core import JointSelectionMatrix, ProblemInstance, _require_unit_total
+from .errors import DegenerateProductError, ValidationError
 
 # Remaining-mass denominators at or below this are treated as exhausted and
 # trigger the uniform-remainder rule in random_order.
@@ -54,8 +54,7 @@ def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
     among the remaining N-1 arms; `random_order_degeneracies` reports
     where that rule fired.
     """
-    if abs(inst.total - 1.0) > SUM_RTOL:
-        raise TotalNotOneError(f"random order needs total = 1, got {inst.total:.17g}")
+    _require_unit_total(inst.total, "random order")
     n = inst.n
     a, b = inst.a, inst.b
     first_a = np.empty((n, n))

@@ -20,7 +20,7 @@ achievable depends only on whether any arm has S_i > T.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,12 +51,12 @@ def _tol(total: float) -> float:
     return SUM_RTOL * max(1.0, abs(total))
 
 
-def _clean_weights(raw, what: str) -> Vec:
-    w = np.asarray(raw, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValidationError(f"{what} must be a 1-D vector, got shape {w.shape}")
-    if w.size < 2:
-        raise ValidationError(f"{what} needs at least 2 arms, got {w.size}")
+def _clean_weights(w: NDArray[np.float64], what: str) -> Vec:
+    """The value checks every weight array passes; callers check its shape.
+
+    Values must be finite and no lower than -1e-12; what remains below zero
+    (including -0.0) is clamped to +0.0. The result is read-only.
+    """
     if not np.all(np.isfinite(w)):
         raise ValidationError(f"{what} contains non-finite values")
     if np.any(w < -ENTRY_CLAMP):
@@ -64,9 +64,14 @@ def _clean_weights(raw, what: str) -> Vec:
             f"{what} has negative entries beyond the {-ENTRY_CLAMP:g} clamp: "
             f"min = {w.min():.3e}"
         )
-    w = np.where(w < 0.0, 0.0, w)
+    w = np.where(w <= 0.0, 0.0, w)
     w.setflags(write=False)
     return w
+
+
+def _require_unit_total(total: float, what: str) -> None:
+    if abs(total - 1.0) > SUM_RTOL:
+        raise TotalNotOneError(f"{what} needs total = 1, got {total:.17g}")
 
 
 # --------------------------------------------------------------------------
@@ -74,69 +79,48 @@ def _clean_weights(raw, what: str) -> Vec:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PreferenceProfile:
-    """One player's desired selection probabilities over N >= 2 arms.
+class ProblemInstance:
+    """Two players' desired selection probabilities over the same N >= 2 arms.
 
     Weights are nonnegative (tiny negatives within -1e-12 are clamped to 0)
-    and sum to ``total`` within 1e-9 relative tolerance. ``total`` is 1 for
-    user-facing instances; reduced sub-instances carry smaller totals.
+    and each vector sums to ``total`` within 1e-9 relative tolerance.
+    ``total`` is 1 for user-facing instances; reduced sub-instances carry
+    smaller totals. ``popularity`` is S = A + B, computed here.
     """
 
-    weights: Vec
+    a: Vec
+    b: Vec
     total: float = 1.0
+    popularity: Vec = field(init=False)
 
     def __post_init__(self) -> None:
-        w = _clean_weights(self.weights, "preference weights")
-        if self.total < -ENTRY_CLAMP:
-            raise ValidationError(f"total must be nonnegative, got {self.total}")
-        if abs(float(w.sum()) - self.total) > _tol(self.total):
-            raise TotalMismatchError(
-                f"weights sum to {w.sum():.17g}, declared total is {self.total:.17g}"
+        a = np.asarray(self.a, dtype=np.float64)
+        b = np.asarray(self.b, dtype=np.float64)
+        if a.shape != b.shape:
+            raise LengthMismatchError(f"preference lengths differ: {a.shape} vs {b.shape}")
+        if a.ndim != 1:
+            raise ValidationError(
+                f"preference weights must be a 1-D vector, got shape {a.shape}"
             )
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "total", float(self.total))
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A pair of preference profiles over the same arms, plus popularity S = A + B."""
-
-    pref_a: PreferenceProfile
-    pref_b: PreferenceProfile
-    popularity: Vec
-
-    def __post_init__(self) -> None:
-        if self.pref_a.n != self.pref_b.n:
-            raise LengthMismatchError(
-                f"preference lengths differ: {self.pref_a.n} vs {self.pref_b.n}"
-            )
-        if abs(self.pref_a.total - self.pref_b.total) > _tol(self.pref_a.total):
-            raise TotalMismatchError(
-                f"players carry different totals: {self.pref_a.total} vs {self.pref_b.total}"
-            )
-        s = self.pref_a.weights + self.pref_b.weights
+        if a.size < 2:
+            raise ValidationError(f"preference weights needs at least 2 arms, got {a.size}")
+        for name, w in (("a", a), ("b", b)):
+            w = _clean_weights(w, "preference weights")
+            if self.total < -ENTRY_CLAMP:
+                raise ValidationError(f"total must be nonnegative, got {self.total}")
+            if abs(float(w.sum()) - self.total) > _tol(self.total):
+                raise TotalMismatchError(
+                    f"weights sum to {w.sum():.17g}, declared total is {self.total:.17g}"
+                )
+            object.__setattr__(self, name, w)
+        s = self.a + self.b
         s.setflags(write=False)
+        object.__setattr__(self, "total", float(self.total))
         object.__setattr__(self, "popularity", s)
 
     @property
     def n(self) -> int:
-        return self.pref_a.n
-
-    @property
-    def total(self) -> float:
-        return self.pref_a.total
-
-    @property
-    def a(self) -> Vec:
-        return self.pref_a.weights
-
-    @property
-    def b(self) -> Vec:
-        return self.pref_b.weights
+        return int(self.a.size)
 
 
 def validate_instance(a, b, total: float = 1.0) -> ProblemInstance:
@@ -146,15 +130,7 @@ def validate_instance(a, b, total: float = 1.0) -> ProblemInstance:
     on bad input. Popularity S = A + B is computed here; its entries sum
     to 2 * total by construction.
     """
-    a_arr = np.asarray(a, dtype=np.float64)
-    b_arr = np.asarray(b, dtype=np.float64)
-    if a_arr.shape != b_arr.shape:
-        raise LengthMismatchError(
-            f"preference lengths differ: {a_arr.shape} vs {b_arr.shape}"
-        )
-    prof_a = PreferenceProfile(a_arr, total)
-    prof_b = PreferenceProfile(b_arr, total)
-    return ProblemInstance(prof_a, prof_b, prof_a.weights + prof_b.weights)
+    return ProblemInstance(a, b, total)
 
 
 @dataclass(frozen=True)
@@ -258,8 +234,7 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    if abs(m.total - 1.0) > SUM_RTOL:
-        raise TotalNotOneError(f"sampling needs total = 1, got {m.total:.17g}")
+    _require_unit_total(m.total, "sampling")
     n = m.n
     off = ~np.eye(n, dtype=bool)
     weights = m.entries[off]

@@ -30,6 +30,7 @@ from .core import (
     JointSelectionMatrix,
     Mat,
     ProblemInstance,
+    _require_unit_total,
     loss,
     loss_gradient,
 )
@@ -37,7 +38,6 @@ from .errors import (
     DimensionTooLargeError,
     InternalInvariantError,
     NotApplicableError,
-    TotalNotOneError,
     ValidationError,
 )
 from .zeroloss import construct_zero_loss
@@ -99,14 +99,9 @@ class OptimalResult:
     branch: str  # "zero-loss" | "min-loss"
 
 
-def _require_unit_total(inst: ProblemInstance) -> None:
-    if abs(inst.total - 1.0) > SUM_RTOL:
-        raise TotalNotOneError(f"operation requires total = 1, got {inst.total:.17g}")
-
-
 def min_loss_value(inst: ProblemInstance) -> float:
     """Closed-form minimum loss: 0 if max S <= 1, else N/(2(N-1)) (S_max-1)^2."""
-    _require_unit_total(inst)
+    _require_unit_total(inst.total, "minimum loss")
     s_max = float(inst.popularity.max())
     if s_max <= 1.0 + SUM_RTOL:
         return 0.0
@@ -120,7 +115,7 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
     Requires S_hot > 1 (+1e-9), which with unit total also makes ``hot``
     the unique most popular arm.
     """
-    _require_unit_total(inst)
+    _require_unit_total(inst.total, "hot-arm matrix")
     n = inst.n
     s = inst.popularity
     if not 0 <= hot < n:
@@ -149,7 +144,7 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     conflict-free simplex. Residuals are max-norm; all <= 1e-9 on the
     genuine hot-arm matrix, order-1 on anything else.
     """
-    _require_unit_total(inst)
+    _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
     s = inst.popularity
     s_max = float(s.max())
@@ -215,7 +210,7 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
     max S  > 1: hot-arm matrix with its KKT certificate; achieved loss
     equals N/(2(N-1)) (S_max-1)^2 to float accuracy.
     """
-    _require_unit_total(inst)
+    _require_unit_total(inst.total, "optimal satisfaction matrix")
     s_max = float(inst.popularity.max())
     if s_max <= 1.0 + SUM_RTOL:
         m = construct_zero_loss(inst)

@@ -11,14 +11,14 @@ If any S_i > 1, zero loss is impossible (each unit of probability feeds
 arm i through at most one player, so the satisfied popularity of any arm
 is at most 1). The converse is proven only for M = 2; for M >= 3 it is an
 open conjecture, and the feasibility verdict says "conjectured" rather
-than overclaiming. A projected-gradient solver over the tuple simplex is
-provided to gather empirical evidence at desk scale.
+than overclaiming. `solve_multi_min_loss` runs the package's one
+projected-gradient loop (`oracle.descend`) over the tuple simplex to gather
+empirical evidence at desk scale; at M = 2 it is the two-player oracle.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations
 from types import MappingProxyType
@@ -27,17 +27,16 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec
+from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
-    NegativeWeightError,
     NonDistinctKeyError,
     TooFewArmsError,
     TotalMismatchError,
     ValidationError,
 )
-from .oracle import project_simplex
+from .oracle import descend
 
 MAX_ARMS = 8
 MAX_PLAYERS = 4
@@ -54,7 +53,7 @@ class MultiPreferences:
     """M x N preference weights, one unit-sum row per player."""
 
     weights: NDArray[np.float64]
-    popularity: Vec
+    popularity: Vec = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -65,19 +64,12 @@ class MultiPreferences:
             raise ValidationError(f"need at least 2 players, got {m}")
         if n < 2:
             raise ValidationError(f"need at least 2 arms, got {n}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights contain non-finite values")
-        if np.any(w < -ENTRY_CLAMP):
-            raise NegativeWeightError(
-                f"weights below the {-ENTRY_CLAMP:g} clamp: min = {w.min():.3e}"
-            )
-        w = np.where(w < 0.0, 0.0, w)
+        w = _clean_weights(w, "multi-player weights")
         sums = w.sum(axis=1)
         bad = np.abs(sums - 1.0) > SUM_RTOL
         if np.any(bad):
             x = int(np.argmax(bad))
             raise TotalMismatchError(f"player {x} weights sum to {sums[x]:.17g}, need 1")
-        w.setflags(write=False)
         pop = w.sum(axis=0)
         pop.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -98,7 +90,7 @@ def validate_multi(rows) -> MultiPreferences:
         w = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"players must form an M x N numeric array: {exc}") from None
-    return MultiPreferences(w, np.zeros(0))
+    return MultiPreferences(w)
 
 
 @dataclass(frozen=True)
@@ -208,37 +200,19 @@ class MultiOracleResult:
 def solve_multi_min_loss(
     prefs: MultiPreferences, tol: float = 1e-10, max_iter: int = 200_000
 ) -> MultiOracleResult:
-    """Projected gradient descent over the full tuple simplex.
+    """Projected gradient descent over the full tuple simplex (`oracle.descend`).
 
-    Variables are all N (N-1) ... (N-M+1) distinct-component tuples; the
-    step 1/(2 M perm(N-1, M-1)) bounds the Hessian norm the same way the
-    two-player oracle's step does (each coordinate feeds one marginal
-    group per player, each group holding perm(N-1, M-1) coordinates).
+    Variables are all N (N-1) ... (N-M+1) distinct-component tuples in
+    lexicographic order, and the step is 1/(2 M perm(N-1, M-1)). At M = 2
+    this is exactly `oracle.solve_min_loss`: the same coordinates, the step
+    1/(4(N-1)), and the same iterates.
     """
     _check_desk_scale(prefs)
     m, n = prefs.n_players, prefs.n_arms
     if n < m:
         raise TooFewArmsError(f"{m} players need at least {m} arms, got {n}")
     coords = list(permutations(range(n), m))
-    idx = np.array(coords, dtype=np.intp)
-    d = idx.shape[0]
-    w = prefs.weights
-    step = 1.0 / (2.0 * m * math.perm(n - 1, m - 1))
-
-    p = np.full(d, 1.0 / d)
-    gap = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = np.zeros(d)
-        for x in range(m):
-            pi_x = np.bincount(idx[:, x], weights=p, minlength=n)
-            grad += 2.0 * (pi_x - w[x])[idx[:, x]]
-        q = project_simplex(p - step * grad)
-        gap = float(np.abs(q - p).max())
-        p = q
-        if gap <= tol:
-            break
-
+    p, iterations, gap = descend(np.array(coords, dtype=np.intp), prefs.weights, tol, max_iter)
     tensor = JointTensorSparse(
         {coord: float(v) for coord, v in zip(coords, p)}, n, m
     )

@@ -87,10 +87,6 @@ def _require_feasible(s_max: float, total: float) -> None:
         )
 
 
-def _check_feasible(inst: ProblemInstance) -> None:
-    _require_feasible(float(inst.popularity.max()), inst.total)
-
-
 def base_case_interval(inst: ProblemInstance) -> tuple[float, float]:
     """Feasible range of the free entry P[0, 1] in the three-arm solution."""
     if inst.n != 3:
@@ -105,7 +101,7 @@ def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     """Explicit zero-loss matrix for three arms, free entry at its lower bound."""
     if inst.n != 3:
         raise ValidationError(f"base case needs N=3, got {inst.n}")
-    _check_feasible(inst)
+    _require_feasible(float(inst.popularity.max()), inst.total)
     a, b, t = inst.a, inst.b, inst.total
     p, _ = base_case_interval(inst)
     entries = np.array(
@@ -187,7 +183,7 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
     tol = _tol(t)
     if s[k] > s.min() + tol or s[v] < np.delete(s, k).max() - tol:
         raise ValidationError("K must be the least popular arm and V the most popular")
-    _check_feasible(inst)
+    _require_feasible(float(s.max()), t)
 
     # At most one arm can violate S_i <= T - S_K, and only the most popular
     # one (a second violator would push the popularity sum past 2T).
@@ -286,7 +282,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
                 f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
             )
         return JointSelectionMatrix(np.array([[0.0, inst.a[0]], [inst.a[1], 0.0]]), t)
-    _check_feasible(inst)
+    _require_feasible(float(inst.popularity.max()), t)
     if n == 3:
         return base_case_three(inst)
 

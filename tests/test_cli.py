@@ -422,3 +422,13 @@ def test_construct_large_instance_exits_zero(capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["branch"] == "zero-loss"
     assert payload["n"] == 1200
+
+
+def test_construct_prints_no_negative_zero(capsys, tmp_path):
+    # A -0.0 weight used to be copied into the matrix and printed as -0.0.
+    path = tmp_path / "zero.json"
+    path.write_text('{"a": [0.25, 0.25, 0.25, 0.25], "b": [0.5, -0.0, 0.25, 0.25]}')
+    code, out, _ = run(capsys, "construct", str(path))
+    assert code == 0
+    assert "-0.0" not in out
+    assert json.loads(out)["entries"][1] == 0.0

@@ -80,6 +80,13 @@ def test_validate_instance_accepts_non_unit_total():
     np.testing.assert_allclose(inst.popularity, [0.25, 0.35], atol=0)
 
 
+def test_validate_instance_turns_negative_zero_into_zero():
+    inst = validate_instance([0.5, -0.0, 0.5], [-0.0, 0.5, 0.5])
+    assert not np.signbit(inst.a).any()
+    assert not np.signbit(inst.b).any()
+    assert not np.signbit(inst.popularity).any()
+
+
 def test_validate_instance_rejects_single_arm():
     with pytest.raises(ValidationError):
         validate_instance([1.0], [1.0])

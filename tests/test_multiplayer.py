@@ -46,6 +46,12 @@ def test_validate_multi_basic():
     np.testing.assert_allclose(prefs.popularity, [0.8, 0.45, 0.75], atol=1e-15)
 
 
+def test_validate_multi_turns_negative_zero_into_zero():
+    prefs = validate_multi([[0.5, -0.0, 0.5], [-0.0, 0.5, 0.5]])
+    assert not np.signbit(prefs.weights).any()
+    assert not np.signbit(prefs.popularity).any()
+
+
 def test_validate_multi_rejects_bad_rows():
     with pytest.raises(TotalMismatchError):
         validate_multi([[0.5, 0.6], [0.5, 0.5]])
@@ -215,6 +221,21 @@ def test_multi_oracle_matches_two_player_routes():
         pairwise = solve_min_loss(inst, tol=1e-10).loss
         assert multi.loss == pytest.approx(closed, abs=1e-7)
         assert multi.loss == pytest.approx(pairwise, abs=1e-7)
+
+
+def test_two_player_oracle_is_the_two_player_tuple_oracle():
+    # Both routes run one descent over the same coordinates in the same
+    # order, so the iterates agree bit for bit, not just to tolerance.
+    rng = np.random.default_rng(23)
+    for n in range(3, 9):
+        for inst in (random_feasible_instance(rng, n), random_hot_instance(rng, n)):
+            pair = solve_min_loss(inst)
+            multi = solve_multi_min_loss(multi_from_instance(inst))
+            assert multi.iterations == pair.iterations
+            assert multi.gradient_mapping_norm == pair.gradient_mapping_norm
+            assert len(multi.tensor.entries) == n * (n - 1)
+            for (i, j), value in multi.tensor.entries.items():
+                assert value == pair.matrix.entries[i, j]
 
 
 def test_multi_oracle_needs_enough_arms():

@@ -7,8 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
+import jointselect.zeroloss as zeroloss
 from jointselect import (
     InfeasibleTwoArmError,
+    InternalInvariantError,
     PopularityExceedsTotalError,
     ValidationError,
     base_case_interval,
@@ -122,6 +124,36 @@ def test_fill_case3_is_mirror_of_case2():
     assert swapped.cut == direct.cut
     np.testing.assert_array_equal(swapped.row_k, direct.col_k)
     np.testing.assert_array_equal(swapped.col_k, direct.row_k)
+
+
+def dust_fill(case: int, excess: float):
+    """Fill K = 0 against V = 1 where the spill weights run out ``excess`` short.
+
+    Case 2 spills A_K over B; case 3 is the mirror image, B_K over A.
+    """
+    spill = [0.0, 0.25, 0.125, 0.0625]
+    need = 0.25 + 0.125 + 0.0625 + excess
+    own = [need, 0.0, 0.0, 0.0]
+    a, b = (own, spill) if case == 2 else (spill, own)
+    return need, zeroloss._fill_cells(a, b, 0, 1, 1e-9, [True] * 4, 0, 0)
+
+
+@pytest.mark.parametrize("case", [2, 3])
+def test_spill_parks_float_dust_opposite_v(case):
+    need, (got_case, cut, row, col) = dust_fill(case, 1e-12)
+    rem = need - 0.25 - 0.125 - 0.0625
+    assert 0.0 < rem <= 1e-9
+    assert got_case == case
+    assert cut is None
+    spilled = dict(row if case == 2 else col)
+    assert spilled[1] == 0.25 + rem
+    assert abs(sum(spilled.values()) - need) <= 1e-15
+
+
+@pytest.mark.parametrize("case", [2, 3])
+def test_spill_rejects_a_remainder_beyond_tolerance(case):
+    with pytest.raises(InternalInvariantError):
+        dust_fill(case, 1e-6)
 
 
 def test_fill_budget_identities_hold_at_random():
