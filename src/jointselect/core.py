@@ -46,6 +46,10 @@ ENTRY_CLAMP = 1e-12
 # reduced sub-instances with tiny totals do not reject honest float noise.
 SUM_RTOL = 1e-9
 
+# sample_joint draws its uniforms this many at a time, so its working
+# memory stays the same however many draws are asked for.
+SAMPLE_CHUNK = 1 << 18
+
 
 def _tol(total: float) -> float:
     return SUM_RTOL * max(1.0, abs(total))
@@ -78,7 +82,7 @@ def _require_unit_total(total: float, what: str) -> None:
 # value types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Two players' desired selection probabilities over the same N >= 2 arms.
 
@@ -86,6 +90,7 @@ class ProblemInstance:
     and each vector sums to ``total`` within 1e-9 relative tolerance.
     ``total`` is 1 for user-facing instances; reduced sub-instances carry
     smaller totals. ``popularity`` is S = A + B, computed here.
+    ``==`` and ``hash`` go by identity, as the fields are arrays.
     """
 
     a: Vec
@@ -133,37 +138,42 @@ def validate_instance(a, b, total: float = 1.0) -> ProblemInstance:
     return ProblemInstance(a, b, total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSelectionMatrix:
     """An N x N joint selection probability matrix with zero diagonal.
 
     Entries are nonnegative (clamped within -1e-12) and sum to ``total``
     within 1e-9 relative tolerance. Entry (i, j) is the probability that
     player A is assigned arm i while player B is assigned arm j; the zero
-    diagonal is what makes the assignment conflict-free.
+    diagonal is what makes the assignment conflict-free. The matrix keeps
+    a private read-only copy of the entries; ``==`` and ``hash`` go by
+    identity.
     """
 
     entries: Mat
     total: float = 1.0
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=np.float64)
+        e = np.array(self.entries, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {e.shape}")
         if e.shape[0] < 2:
             raise ValidationError("matrix needs at least 2 arms")
-        if not np.all(np.isfinite(e)):
+        lo, hi = float(e.min()), float(e.max())
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValidationError("matrix contains non-finite entries")
-        if np.any(e < -ENTRY_CLAMP):
+        if lo < -ENTRY_CLAMP:
             raise ValidationError(
-                f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {e.min():.3e}"
+                f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}"
             )
-        e = np.where(e < 0.0, 0.0, e)
+        if lo < 0.0:
+            e[e < 0.0] = 0.0
         if np.any(np.diagonal(e) != 0.0):
             raise ValidationError("diagonal entries must be exactly 0 (conflict-freedom)")
-        if abs(float(e.sum()) - self.total) > _tol(self.total):
+        entry_sum = float(e.sum())
+        if abs(entry_sum - self.total) > _tol(self.total):
             raise TotalMismatchError(
-                f"entries sum to {e.sum():.17g}, declared total is {self.total:.17g}"
+                f"entries sum to {entry_sum:.17g}, declared total is {self.total:.17g}"
             )
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -209,16 +219,23 @@ def loss(m: JointSelectionMatrix, inst: ProblemInstance) -> float:
     return float(ga @ ga + gb @ gb)
 
 
+def _gradient_terms(m: JointSelectionMatrix, inst: ProblemInstance) -> tuple[Vec, Vec]:
+    """The row and column parts of the loss gradient: 2 (pi_A - A), 2 (pi_B - B).
+
+    dL/dP[i, j] is their sum ga[i] + gb[j]; this is the O(N) form of it.
+    """
+    _check_dims(m, inst)
+    sp = satisfied_preferences(m)
+    return 2.0 * (sp.pi_a - inst.a), 2.0 * (sp.pi_b - inst.b)
+
+
 def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
     """Gradient of the loss in the off-diagonal entries.
 
     dL/dP[i, j] = 2 (pi_A(i) - A_i) + 2 (pi_B(j) - B_j) for i != j; the
     diagonal is not a decision variable and is reported as 0.
     """
-    _check_dims(m, inst)
-    sp = satisfied_preferences(m)
-    ga = 2.0 * (sp.pi_a - inst.a)
-    gb = 2.0 * (sp.pi_b - inst.b)
+    ga, gb = _gradient_terms(m, inst)
     g = ga[:, None] + gb[None, :]
     np.fill_diagonal(g, 0.0)
     return g
@@ -229,8 +246,10 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
 
     Sampling is inverse-CDF over the off-diagonal entries flattened in
     row-major order, driven by numpy's PCG64 generator, so identical
-    (matrix, seed, draws) triples reproduce identical counts. Requires a
-    unit total; the diagonal of the result is always 0.
+    (matrix, seed, draws) triples reproduce identical counts. Uniforms are
+    drawn SAMPLE_CHUNK at a time, which continues the same stream, so the
+    counts equal a one-shot draw while memory stays O(N^2 + SAMPLE_CHUNK).
+    Requires a unit total; the diagonal of the result is always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
@@ -241,10 +260,12 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    u = rng.random(draws)
-    picks = np.searchsorted(cdf, u, side="right")
+    picked = np.zeros(weights.size, dtype=np.int64)
+    for start in range(0, draws, SAMPLE_CHUNK):
+        u = rng.random(min(SAMPLE_CHUNK, draws - start))
+        picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=weights.size)
     counts = np.zeros((n, n), dtype=np.int64)
-    counts[off] = np.bincount(picks, minlength=weights.size)
+    counts[off] = picked
     return counts
 
 

@@ -13,6 +13,10 @@ constraint, lambda_{i,j} = 2N eps on the inactive-region nonnegativity
 constraints) whose four residuals a verifier can check numerically, and
 the fact that the loss is a convex quadratic, whose Hessian over the
 off-diagonal coordinates is H[(i,j),(k,l)] = 2(delta_ik + delta_jl).
+`kkt_verify` measures the residuals from the matrix's marginals and
+read-only reductions of its entries (minimum, total, largest cold entry),
+in O(N) extra memory; the dense lambda is built only when a caller reads
+`KktCertificate.lam`.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -22,17 +26,20 @@ certificate otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .core import (
     SUM_RTOL,
     JointSelectionMatrix,
     Mat,
     ProblemInstance,
+    Vec,
+    _gradient_terms,
     _require_unit_total,
     loss,
-    loss_gradient,
 )
 from .errors import (
     DimensionTooLargeError,
@@ -56,19 +63,32 @@ class KktResiduals:
         return max(self.stationarity, self.slackness, self.dual, self.primal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KktCertificate:
     """Closed-form multipliers for the hot-arm matrix and their residuals.
 
     epsilon = (S_max - 1)/(2(N-1)); mu = 2(N-2) epsilon multiplies the
-    total-sum constraint; lam[i, j] = 2N epsilon on entries whose row and
-    column both avoid the hot arm (the entries pinned at zero), 0 elsewhere.
+    total-sum constraint; lam[i, j] = 2N epsilon on off-diagonal entries
+    whose row and column both avoid arm ``hot`` (the entries pinned at
+    zero), 0 elsewhere. The residuals were measured from the matrix's
+    marginals and read-only reductions of its entries; the dense N x N
+    ``lam`` is built on first access. ``==`` and ``hash`` go by identity.
     """
 
     epsilon: float
     mu: float
-    lam: Mat
     residuals: KktResiduals
+    n: int
+    hot: int
+
+    @cached_property
+    def lam(self) -> Mat:
+        lam = np.zeros((self.n, self.n))
+        cold = np.arange(self.n) != self.hot
+        lam[np.ix_(cold, cold)] = 2.0 * self.n * self.epsilon
+        np.fill_diagonal(lam, 0.0)
+        lam.setflags(write=False)
+        return lam
 
     @property
     def valid(self) -> bool:
@@ -136,6 +156,13 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
     return JointSelectionMatrix(entries, 1.0)
 
 
+def _extremes(v: Vec) -> NDArray[np.intp]:
+    """Positions of the two smallest and the two largest entries of v (all of v if short)."""
+    if v.size <= 4:
+        return np.arange(v.size)
+    return np.argpartition(v, (1, v.size - 2))[[0, 1, -2, -1]]
+
+
 def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate:
     """Build the closed-form multipliers and measure all four KKT residuals on m.
 
@@ -143,6 +170,14 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     Slackness: lam[i,j] * P[i,j] = 0. Dual: lam >= 0. Primal: P on the
     conflict-free simplex. Residuals are max-norm; all <= 1e-9 on the
     genuine hot-arm matrix, order-1 on anything else.
+
+    No N x N array is formed. The gradient is ga[i] + gb[j] and lam is
+    constant on each block (hot row, hot column, cold x cold), and float
+    rounding is monotone, so each block's largest stationarity term sits
+    at an extreme pair: the two largest or two smallest ga and gb over its
+    rows and columns, i != j. Slackness needs only the largest entry off
+    the hot row and column. Each term is computed with the same float
+    operations as the dense form, so the residuals equal it bit for bit.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
@@ -153,25 +188,26 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     hot = int(np.argmax(s))
     eps = (s_max - 1.0) / (2.0 * (n - 1))
     mu = 2.0 * (n - 2) * eps
+    lam_cold = 2.0 * n * eps
+    ga, gb = _gradient_terms(m, inst)
 
-    off = ~np.eye(n, dtype=bool)
-    cold = np.ones(n, dtype=bool)
-    cold[hot] = False
-    lam = np.zeros((n, n))
-    lam[np.ix_(cold, cold)] = 2.0 * n * eps
-    np.fill_diagonal(lam, 0.0)
+    cold = np.flatnonzero(np.arange(n) != hot)
+    rows = np.append(hot, cold[_extremes(ga[cold])])
+    cols = np.append(hot, cold[_extremes(gb[cold])])
+    lam = np.where((rows[:, None] != hot) & (cols[None, :] != hot), lam_cold, 0.0)
+    terms = np.abs(ga[rows][:, None] + gb[cols][None, :] - lam + mu)
+    stationarity = float(terms[rows[:, None] != cols[None, :]].max())
 
-    grad = loss_gradient(m, inst)
-    stationarity = float(np.abs((grad - lam + mu)[off]).max())
-    slackness = float(np.abs(lam * m.entries).max())
-    dual = max(0.0, -float(lam.min()))
+    e = m.entries
+    blocks = (e[:hot, :hot], e[:hot, hot + 1:], e[hot + 1:, :hot], e[hot + 1:, hot + 1:])
+    slackness = abs(lam_cold * max(float(b.max()) for b in blocks if b.size))
+    dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
     primal = max(
-        max(0.0, -float(m.entries.min())),
-        abs(float(m.entries.sum()) - 1.0),
-        float(np.abs(np.diagonal(m.entries)).max()),
+        max(0.0, -float(e.min())),
+        abs(float(e.sum()) - 1.0),
+        float(np.abs(np.diagonal(e)).max()),
     )
-    lam.setflags(write=False)
-    return KktCertificate(eps, mu, lam, KktResiduals(stationarity, slackness, dual, primal))
+    return KktCertificate(eps, mu, KktResiduals(stationarity, slackness, dual, primal), n, hot)
 
 
 def loss_hessian(n: int) -> Mat:

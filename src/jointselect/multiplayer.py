@@ -48,9 +48,12 @@ class Feasibility(str, Enum):
     CONJECTURED_FEASIBLE = "conjectured-feasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPreferences:
-    """M x N preference weights, one unit-sum row per player."""
+    """M x N preference weights, one unit-sum row per player.
+
+    ``==`` and ``hash`` go by identity, as the fields are arrays.
+    """
 
     weights: NDArray[np.float64]
     popularity: Vec = field(init=False)

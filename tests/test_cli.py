@@ -11,7 +11,7 @@ import pytest
 
 import jointselect.cli as cli
 import jointselect.minloss as minloss
-from jointselect import InternalInvariantError, matrix_from_json
+from jointselect import InternalInvariantError, matrix_from_json, matrix_to_json, uniform_random
 from jointselect.cli import main
 
 from conftest import TABLE1_A, TABLE1_B
@@ -246,6 +246,17 @@ def test_verify_kkt_against_provided_matrix(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["kkt"]["valid"] is True
+
+
+def test_verify_kkt_matrix_of_other_size_exits_two(capsys, tmp_path):
+    pref = tmp_path / "geo.json"
+    pref.write_text(json.dumps({"a": GEO_A, "b": GEO_A}))
+    other = tmp_path / "m4.json"
+    other.write_text(json.dumps(matrix_to_json(uniform_random(4))))
+    code, out, err = run(capsys, "verify", str(pref), "--kkt", "--matrix", str(other))
+    assert code == 2
+    assert out == ""
+    assert stderr_error(err)["error"] == "dimension-mismatch"
 
 
 def test_verify_convexity_standalone(capsys):

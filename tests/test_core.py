@@ -21,16 +21,20 @@ from jointselect import (
     ValidationError,
     instance_from_json,
     instance_to_json,
+    kkt_verify,
     loss,
     loss_gradient,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
+    min_loss_matrix,
     sample_joint,
     satisfied_preferences,
     uniform_random,
     validate_instance,
+    validate_multi,
 )
+from jointselect.core import SAMPLE_CHUNK
 
 from conftest import TABLE1_A, TABLE1_B, fd_gradient, random_feasible_instance
 
@@ -146,6 +150,45 @@ def test_matrix_entries_are_read_only():
     m = uniform_random(3)
     with pytest.raises(ValueError):
         m.entries[0, 1] = 0.5
+
+
+def test_matrix_keeps_a_private_copy_of_its_entries():
+    entries = np.array([[0.0, 0.25, 0.25], [0.25, 0.0, -0.0], [0.25, 0.0, 0.0]])
+    m = JointSelectionMatrix(entries)
+    entries[0, 1] = 0.5
+    assert m.entries[0, 1] == 0.25
+    # Only entries below zero are clamped; -0.0 is kept as given.
+    assert np.signbit(m.entries[1, 2])
+
+
+def test_matrix_errors_in_check_order():
+    # Non-finite is reported before the clamp, the clamp before the diagonal,
+    # and the diagonal before the sum.
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointSelectionMatrix(np.array([[0.0, np.nan], [-1.0, 0.0]]))
+    with pytest.raises(ValidationError, match=r"below the -1e-12 clamp: min = -1\.000e-06"):
+        JointSelectionMatrix(np.array([[1.0, -1e-6], [1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="diagonal"):
+        JointSelectionMatrix(np.array([[1.0, -1e-13], [1.0, 0.0]]))
+    with pytest.raises(TotalMismatchError, match="entries sum to 0.90000000000000002"):
+        JointSelectionMatrix(np.array([[0.0, -1e-13], [0.9, 0.0]]))
+
+
+def test_array_holding_types_compare_by_identity():
+    # Their fields are arrays, so field-wise == would be ambiguous and hash
+    # would fail; == and hash go by identity instead.
+    hot = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
+    makers = (
+        lambda: validate_instance(TABLE1_A, TABLE1_B),
+        lambda: uniform_random(3),
+        lambda: validate_multi([[0.5, 0.5], [0.5, 0.5]]),
+        lambda: kkt_verify(hot, min_loss_matrix(hot, 2)),
+    )
+    for make in makers:
+        x, y = make(), make()
+        assert x == x
+        assert x != y
+        assert len({x, y, x}) == 2
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +311,25 @@ def test_sample_joint_marginals_converge(table1):
     freq_b = counts.sum(axis=0) / counts.sum()
     assert float(np.abs(freq_a - table1.a).max()) <= 0.02
     assert float(np.abs(freq_b - table1.b).max()) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5]
+)
+def test_sample_joint_chunks_match_one_shot_draw(draws):
+    # Drawing in chunks continues the PCG64 stream, so the counts equal the
+    # one-shot inverse-CDF formula bit for bit.
+    rng = np.random.default_rng(9)
+    entries = rng.random((5, 5))
+    np.fill_diagonal(entries, 0.0)
+    m = JointSelectionMatrix(entries / entries.sum())
+    off = ~np.eye(5, dtype=bool)
+    cdf = np.cumsum(m.entries[off])
+    cdf /= cdf[-1]
+    u = np.random.default_rng(31).random(draws)
+    expected = np.zeros((5, 5), dtype=np.int64)
+    expected[off] = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=20)
+    np.testing.assert_array_equal(sample_joint(m, seed=31, draws=draws), expected)
 
 
 def test_sample_joint_rejects_bad_arguments():

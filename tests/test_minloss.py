@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jointselect import (
     JointSelectionMatrix,
@@ -13,6 +17,7 @@ from jointselect import (
     convexity_check,
     kkt_verify,
     loss,
+    loss_gradient,
     loss_hessian,
     min_loss_matrix,
     min_loss_value,
@@ -23,6 +28,7 @@ from jointselect import (
     validate_instance,
 )
 from jointselect.errors import DimensionTooLargeError
+from jointselect.minloss import KktResiduals
 
 from conftest import random_feasible_instance, random_hot_instance
 
@@ -33,6 +39,48 @@ def geometric_instance(n: int):
     num = np.array([3**k for k in range(n)], dtype=np.float64)
     w = num / float((3**n - 1) // 2)
     return validate_instance(w, w)
+
+
+def hot_arm_instance(rng: np.random.Generator, n: int):
+    """One hot arm at a random index with S_hot in (1, 1.9], built directly
+    (rejection sampling for S_max > 1 stalls at large N)."""
+    h = int(rng.integers(n))
+    s_hot = 1.9 - 0.9 * rng.random() + 1e-8
+    x = rng.uniform(s_hot - 1.0, 1.0)
+    a = np.insert((1.0 - x) * rng.dirichlet(np.ones(n - 1)), h, x)
+    b = np.insert((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), h, s_hot - x)
+    return validate_instance(a, b)
+
+
+def dense_kkt_reference(inst, m):
+    """kkt_verify in its dense form: N x N multipliers and gradient.
+
+    Returns (epsilon, mu, lam, residuals); kkt_verify must match it bit for bit.
+    """
+    n = inst.n
+    s = inst.popularity
+    s_max = float(s.max())
+    hot = int(np.argmax(s))
+    eps = (s_max - 1.0) / (2.0 * (n - 1))
+    mu = 2.0 * (n - 2) * eps
+
+    off = ~np.eye(n, dtype=bool)
+    cold = np.ones(n, dtype=bool)
+    cold[hot] = False
+    lam = np.zeros((n, n))
+    lam[np.ix_(cold, cold)] = 2.0 * n * eps
+    np.fill_diagonal(lam, 0.0)
+
+    grad = loss_gradient(m, inst)
+    stationarity = float(np.abs((grad - lam + mu)[off]).max())
+    slackness = float(np.abs(lam * m.entries).max())
+    dual = max(0.0, -float(lam.min()))
+    primal = max(
+        max(0.0, -float(m.entries.min())),
+        abs(float(m.entries.sum()) - 1.0),
+        float(np.abs(np.diagonal(m.entries)).max()),
+    )
+    return eps, mu, lam, KktResiduals(stationarity, slackness, dual, primal)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +218,96 @@ def test_kkt_flags_the_uniform_matrix():
 def test_kkt_not_applicable_on_cool_instance(table1):
     with pytest.raises(NotApplicableError):
         kkt_verify(table1, uniform_random(3))
+
+
+def kkt_case(n: int, seed: int, kind: str):
+    """A hot instance and a matrix to certify against it."""
+    rng = np.random.default_rng(seed)
+    inst = hot_arm_instance(rng, n)
+    hot = int(np.argmax(inst.popularity))
+    if kind == "hot-arm":
+        return inst, min_loss_matrix(inst, hot)
+    if kind == "uniform":
+        return inst, uniform_random(n)
+    if kind == "shared-peak":
+        # The hot-arm matrix of a second instance with the same hot weights
+        # and cold weights pulled toward one shared arm p. Both gradient
+        # parts then peak at p, so the largest cold x cold term pairs p with
+        # a runner-up, and that term exceeds every hot row and column term.
+        cold = np.arange(n) != hot
+        p = int(rng.choice(np.flatnonzero(cold)))
+        pull = rng.random()
+
+        def shifted(w):
+            target = rng.dirichlet(np.ones(n)) * cold
+            target[p] += 1.0
+            out = w.copy()
+            out[cold] = (1.0 - pull) * w[cold] + pull * target[cold] * (w[cold].sum() / target.sum())
+            return out
+
+        other = validate_instance(shifted(inst.a), shifted(inst.b))
+        return inst, min_loss_matrix(other, hot)
+    if kind == "perturbed":
+        entries = min_loss_matrix(inst, hot).entries.copy()
+        entries += rng.random((n, n)) * (rng.random((n, n)) < 0.3) * 10.0 ** rng.uniform(-12, -2)
+    else:
+        entries = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        entries[0, 1] += 1.0
+    np.fill_diagonal(entries, 0.0)
+    return inst, JointSelectionMatrix(entries / entries.sum())
+
+
+KKT_KINDS = ("hot-arm", "shared-peak", "perturbed", "random", "uniform")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(KKT_KINDS),
+)
+@example(n=2, seed=0, kind="hot-arm")
+@example(n=2, seed=1, kind="perturbed")
+@example(n=2, seed=2, kind="random")
+@example(n=2, seed=3, kind="uniform")
+@example(n=2, seed=4, kind="shared-peak")
+@example(n=6, seed=5, kind="shared-peak")
+def test_kkt_verify_matches_dense_reference_exactly(n, seed, kind):
+    inst, m = kkt_case(n, seed, kind)
+    cert = kkt_verify(inst, m)
+    eps, mu, lam, residuals = dense_kkt_reference(inst, m)
+    assert cert.epsilon == eps
+    assert cert.mu == mu
+    assert cert.residuals == residuals
+    assert cert.hot == int(np.argmax(inst.popularity))
+    assert cert.lam.tobytes() == lam.tobytes()
+    assert not cert.lam.flags.writeable
+
+
+def test_kkt_verify_on_dispatch_output_matches_dense_reference():
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4, 9, 33, 64):
+        inst = hot_arm_instance(rng, n)
+        result = optimal_satisfaction_matrix(inst)
+        _, _, _, residuals = dense_kkt_reference(inst, result.matrix)
+        assert result.certificate.residuals == residuals
+        assert result.certificate.valid
+
+
+def test_kkt_verify_allocates_no_dense_array():
+    # Growth pin: the dense check held several N x N float64 arrays at once;
+    # the certificate now needs O(N) memory until lam is read.
+    n = 2048
+    inst = hot_arm_instance(np.random.default_rng(5), n)
+    m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+    tracemalloc.start()
+    try:
+        cert = kkt_verify(inst, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.valid
+    assert peak < n * n * 8
 
 
 # --------------------------------------------------------------------------
