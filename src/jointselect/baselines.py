@@ -25,6 +25,7 @@ def uniform_random(n: int) -> JointSelectionMatrix:
         raise ValidationError(f"need at least 2 arms, got {n}")
     entries = np.full((n, n), 1.0 / (n * (n - 1)))
     np.fill_diagonal(entries, 0.0)
+    entries.setflags(write=False)
     return JointSelectionMatrix(entries, 1.0)
 
 
@@ -42,7 +43,9 @@ def simultaneous_renormalization(inst: ProblemInstance) -> JointSelectionMatrix:
         raise DegenerateProductError(
             "all off-diagonal preference products vanish; renormalization undefined"
         )
-    return JointSelectionMatrix(products / denom, 1.0)
+    products /= denom
+    products.setflags(write=False)
+    return JointSelectionMatrix(products, 1.0)
 
 
 def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
@@ -71,6 +74,7 @@ def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
 
     entries = 0.5 * (first_a + first_b)
     np.fill_diagonal(entries, 0.0)
+    entries.setflags(write=False)
     return JointSelectionMatrix(entries, 1.0)
 
 

@@ -15,12 +15,17 @@ and the quality of a matrix is the squared mismatch
 The popularity of arm i is S_i = A_i + B_i; since both preference vectors
 sum to the total T, popularities always sum to 2T. Whether zero loss is
 achievable depends only on whether any arm has S_i > T.
+
+A JointSelectionMatrix reads its N x N entries once per reduction: it
+adopts suitable read-only arrays instead of copying them, and keeps the
+minimum, total and marginals it takes (see its docstring).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -145,32 +150,57 @@ class JointSelectionMatrix:
     Entries are nonnegative (clamped within -1e-12) and sum to ``total``
     within 1e-9 relative tolerance. Entry (i, j) is the probability that
     player A is assigned arm i while player B is assigned arm j; the zero
-    diagonal is what makes the assignment conflict-free. The matrix keeps
-    a private read-only copy of the entries; ``==`` and ``hash`` go by
-    identity.
+    diagonal is what makes the assignment conflict-free.
+
+    The stored entries are read-only. A float64, C-contiguous ndarray that
+    owns its data and is already read-only is adopted as is (the package's
+    own builders hand theirs over this way; the owner must not make it
+    writable again); any other input is copied, and the clamp copies an
+    adopted array before writing. ``min_entry`` and ``entry_sum`` are the
+    minimum and sum of the stored entries, taken once during validation;
+    ``marginals`` (row sums, column sums) is computed on first read and
+    kept. ``==`` and ``hash`` go by identity.
     """
 
     entries: Mat
     total: float = 1.0
+    min_entry: float = field(init=False, repr=False)
+    entry_sum: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        e = np.array(self.entries, dtype=np.float64)
+        e = self.entries
+        adopted = (
+            type(e) is np.ndarray
+            and e.dtype == np.float64
+            and e.flags.c_contiguous
+            and e.base is None
+            and not e.flags.writeable
+        )
+        if not adopted:
+            e = np.array(e, dtype=np.float64)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {e.shape}")
         if e.shape[0] < 2:
             raise ValidationError("matrix needs at least 2 arms")
-        lo, hi = float(e.min()), float(e.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
+        # min shows NaN and -inf. Past it, +inf shows as a non-finite sum,
+        # which finite entries can also give by overflow, so max tells the
+        # two apart only then.
+        lo = float(e.min())
+        if not np.isfinite(lo) or not (
+            np.isfinite(entry_sum := float(e.sum())) or np.isfinite(e.max())
+        ):
             raise ValidationError("matrix contains non-finite entries")
         if lo < -ENTRY_CLAMP:
             raise ValidationError(
                 f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}"
             )
         if lo < 0.0:
+            if adopted:
+                e = e.copy()
             e[e < 0.0] = 0.0
+            lo, entry_sum = 0.0, float(e.sum())
         if np.any(np.diagonal(e) != 0.0):
             raise ValidationError("diagonal entries must be exactly 0 (conflict-freedom)")
-        entry_sum = float(e.sum())
         if abs(entry_sum - self.total) > _tol(self.total):
             raise TotalMismatchError(
                 f"entries sum to {entry_sum:.17g}, declared total is {self.total:.17g}"
@@ -178,10 +208,20 @@ class JointSelectionMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "min_entry", lo)
+        object.__setattr__(self, "entry_sum", entry_sum)
 
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
+
+    @cached_property
+    def marginals(self) -> tuple[Vec, Vec]:
+        """(row sums, column sums) of the entries, read-only, computed once."""
+        rows, cols = self.entries.sum(axis=1), self.entries.sum(axis=0)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols
 
 
 @dataclass(frozen=True)
@@ -197,8 +237,11 @@ class SatisfiedPreferences:
 # --------------------------------------------------------------------------
 
 def satisfied_preferences(m: JointSelectionMatrix) -> SatisfiedPreferences:
-    """Row and column sums of the matrix: the preferences each player actually gets."""
-    return SatisfiedPreferences(m.entries.sum(axis=1), m.entries.sum(axis=0))
+    """Row and column sums of the matrix: the preferences each player actually gets.
+
+    The arrays are the matrix's cached marginals and are read-only.
+    """
+    return SatisfiedPreferences(*m.marginals)
 
 
 def _check_dims(m: JointSelectionMatrix, inst: ProblemInstance) -> None:
@@ -213,9 +256,9 @@ def loss(m: JointSelectionMatrix, inst: ProblemInstance) -> float:
     exactly when the matrix reproduces both preference vectors.
     """
     _check_dims(m, inst)
-    sp = satisfied_preferences(m)
-    ga = sp.pi_a - inst.a
-    gb = sp.pi_b - inst.b
+    pi_a, pi_b = m.marginals
+    ga = pi_a - inst.a
+    gb = pi_b - inst.b
     return float(ga @ ga + gb @ gb)
 
 
@@ -225,8 +268,8 @@ def _gradient_terms(m: JointSelectionMatrix, inst: ProblemInstance) -> tuple[Vec
     dL/dP[i, j] is their sum ga[i] + gb[j]; this is the O(N) form of it.
     """
     _check_dims(m, inst)
-    sp = satisfied_preferences(m)
-    return 2.0 * (sp.pi_a - inst.a), 2.0 * (sp.pi_b - inst.b)
+    pi_a, pi_b = m.marginals
+    return 2.0 * (pi_a - inst.a), 2.0 * (pi_b - inst.b)
 
 
 def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
@@ -244,29 +287,30 @@ def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
 def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.int64]:
     """Draw arm pairs from the matrix; returns an N x N count matrix.
 
-    Sampling is inverse-CDF over the off-diagonal entries flattened in
+    Sampling is inverse-CDF over the nonzero off-diagonal entries in
     row-major order, driven by numpy's PCG64 generator, so identical
-    (matrix, seed, draws) triples reproduce identical counts. Uniforms are
-    drawn SAMPLE_CHUNK at a time, which continues the same stream, so the
-    counts equal a one-shot draw while memory stays O(N^2 + SAMPLE_CHUNK).
+    (matrix, seed, draws) triples reproduce identical counts. Leaving out
+    the zero cells changes no count: the cumulative sum adds them exactly,
+    and a right-sided search never lands on a cell of zero weight. Uniforms
+    are drawn SAMPLE_CHUNK at a time, which continues the same stream, so
+    the counts equal a one-shot draw while memory stays O(N^2 + SAMPLE_CHUNK).
     Requires a unit total; the diagonal of the result is always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     _require_unit_total(m.total, "sampling")
-    n = m.n
-    off = ~np.eye(n, dtype=bool)
-    weights = m.entries[off]
-    cdf = np.cumsum(weights)
+    flat = m.entries.ravel()
+    support = np.flatnonzero(flat)  # the diagonal is exactly zero
+    cdf = np.cumsum(flat[support])
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    picked = np.zeros(weights.size, dtype=np.int64)
+    picked = np.zeros(support.size, dtype=np.int64)
     for start in range(0, draws, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, draws - start))
-        picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=weights.size)
-    counts = np.zeros((n, n), dtype=np.int64)
-    counts[off] = picked
-    return counts
+        picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=support.size)
+    counts = np.zeros(flat.size, dtype=np.int64)
+    counts[support] = picked
+    return counts.reshape(m.entries.shape)
 
 
 # --------------------------------------------------------------------------

@@ -13,10 +13,14 @@ constraint, lambda_{i,j} = 2N eps on the inactive-region nonnegativity
 constraints) whose four residuals a verifier can check numerically, and
 the fact that the loss is a convex quadratic, whose Hessian over the
 off-diagonal coordinates is H[(i,j),(k,l)] = 2(delta_ik + delta_jl).
-`kkt_verify` measures the residuals from the matrix's marginals and
-read-only reductions of its entries (minimum, total, largest cold entry),
-in O(N) extra memory; the dense lambda is built only when a caller reads
-`KktCertificate.lam`.
+`kkt_verify` measures the residuals from the matrix's marginals, its
+minimum and total, and the largest entry off the hot row and column, in
+O(N) extra memory; the dense lambda is built only when a caller reads
+`KktCertificate.lam`. The marginals, minimum and total are taken once per
+matrix (the minimum and total while the matrix is validated), so the loss
+computed after the certificate reads no N x N array, and the hot-arm
+matrix is built read-only and adopted by `JointSelectionMatrix` without
+a copy.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -153,6 +157,7 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
     entries[:, hot] = inst.a + eps
     entries[hot, :] = inst.b + eps
     entries[hot, hot] = 0.0
+    entries.setflags(write=False)
     return JointSelectionMatrix(entries, 1.0)
 
 
@@ -178,6 +183,7 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     rows and columns, i != j. Slackness needs only the largest entry off
     the hot row and column. Each term is computed with the same float
     operations as the dense form, so the residuals equal it bit for bit.
+    The marginals, minimum and total are the matrix's own, taken once.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
@@ -203,8 +209,8 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     slackness = abs(lam_cold * max(float(b.max()) for b in blocks if b.size))
     dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
     primal = max(
-        max(0.0, -float(e.min())),
-        abs(float(e.sum()) - 1.0),
+        max(0.0, -m.min_entry),
+        abs(m.entry_sum - 1.0),
         float(np.abs(np.diagonal(e)).max()),
     )
     return KktCertificate(eps, mu, KktResiduals(stationarity, slackness, dual, primal), n, hot)

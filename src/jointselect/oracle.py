@@ -107,6 +107,7 @@ def solve_min_loss(
 
     entries = np.zeros((n, n))
     entries[idx[:, 0], idx[:, 1]] = p
+    entries.setflags(write=False)
     matrix = JointSelectionMatrix(entries, 1.0)
     return OracleResult(matrix, loss(matrix, inst), iterations, gap, gap <= tol)
 

@@ -114,6 +114,7 @@ def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     # cancellation can leave -1e-17-ish dust on entries that are exactly 0
     entries[entries < 0.0] = 0.0
     np.fill_diagonal(entries, 0.0)
+    entries.setflags(write=False)
     return JointSelectionMatrix(entries, t)
 
 
@@ -281,7 +282,9 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
                 f"two arms admit zero loss only when S = ({t:.17g}, {t:.17g}); "
                 f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
             )
-        return JointSelectionMatrix(np.array([[0.0, inst.a[0]], [inst.a[1], 0.0]]), t)
+        entries = np.array([[0.0, inst.a[0]], [inst.a[1], 0.0]])
+        entries.setflags(write=False)
+        return JointSelectionMatrix(entries, t)
     _require_feasible(float(inst.popularity.max()), t)
     if n == 3:
         return base_case_three(inst)
@@ -348,6 +351,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     )
     if miss > _tol(t):
         raise InternalInvariantError(f"assembled marginals miss the preferences by {miss:.3e}")
+    entries.setflags(write=False)
     return JointSelectionMatrix(entries, t)
 
 

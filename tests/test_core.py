@@ -35,8 +35,9 @@ from jointselect import (
     validate_multi,
 )
 from jointselect.core import SAMPLE_CHUNK
+from jointselect.zeroloss import construct_zero_loss
 
-from conftest import TABLE1_A, TABLE1_B, fd_gradient, random_feasible_instance
+from conftest import TABLE1_A, TABLE1_B, fd_gradient, random_feasible_instance, raw_loss
 
 # Uniform loss on the running example, exact by rational arithmetic:
 # sum over both players of (1/3 - w)^2 with w in {3/10, 1/4, 9/20} and
@@ -174,6 +175,95 @@ def test_matrix_errors_in_check_order():
         JointSelectionMatrix(np.array([[0.0, -1e-13], [0.9, 0.0]]))
 
 
+def owned_read_only(x, dtype=np.float64) -> np.ndarray:
+    """A fresh array that owns its data, with writing switched off."""
+    e = np.array(x, dtype=dtype)
+    e.setflags(write=False)
+    return e
+
+
+DYADIC_MATRIX = [[0.0, 0.125, 0.25], [0.125, 0.0, 0.0625], [0.375, 0.0625, 0.0]]
+
+
+def test_matrix_adopts_an_owned_read_only_array():
+    e = owned_read_only(DYADIC_MATRIX)
+    m = JointSelectionMatrix(e)
+    assert np.shares_memory(m.entries, e)
+    assert m.min_entry == 0.0
+    assert m.entry_sum == float(e.sum())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.array(DYADIC_MATRIX),  # writable
+        lambda: owned_read_only(np.array(DYADIC_MATRIX).ravel()).reshape(3, 3),  # read-only view
+        lambda: owned_read_only(np.asfortranarray(DYADIC_MATRIX)),  # not C-contiguous
+        lambda: owned_read_only(DYADIC_MATRIX, dtype=np.float32),  # not float64
+    ],
+    ids=["writable", "view", "fortran", "float32"],
+)
+def test_matrix_copies_any_other_input(make):
+    e = make()
+    m = JointSelectionMatrix(e)
+    assert not np.shares_memory(m.entries, e)
+    np.testing.assert_array_equal(m.entries, np.asarray(e, dtype=np.float64))
+    assert not m.entries.flags.writeable
+
+
+def test_matrix_clamp_leaves_an_adopted_input_untouched():
+    e = owned_read_only([[0.0, 0.5, -1e-13], [0.25, 0.0, 0.0], [0.25, -0.0, 0.0]])
+    m = JointSelectionMatrix(e)
+    assert e[0, 2] == -1e-13
+    assert not np.shares_memory(m.entries, e)
+    assert m.entries[0, 2] == 0.0 and not np.signbit(m.entries[0, 2])
+    assert np.signbit(m.entries[2, 1])
+    assert m.min_entry == 0.0
+    assert m.entry_sum == float(m.entries.sum())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("read_only", [False, True], ids=["copied", "adopted"])
+@pytest.mark.parametrize(
+    "entries, error, match",
+    [
+        ([[0.0, -np.inf], [1.0, 0.0]], ValidationError, "non-finite"),
+        ([[0.0, -np.inf], [np.inf, 0.0]], ValidationError, "non-finite"),
+        ([[0.0, np.inf], [1.0, 0.0]], ValidationError, "non-finite"),
+        ([[0.0, np.inf], [-1.0, 0.0]], ValidationError, "non-finite"),
+        ([[0.0, np.nan], [1.0, 0.0]], ValidationError, "non-finite"),
+        ([[np.nan, 0.0], [1.0, 0.0]], ValidationError, "non-finite"),
+        ([[0.0, 1e308], [1e308, 0.0]], TotalMismatchError, "entries sum to inf"),
+        ([[1.0, 1e308], [1e308, 0.0]], ValidationError, "diagonal"),
+        ([[0.0, 1e308], [1e308, -1e-6]], ValidationError, "below the -1e-12 clamp"),
+    ],
+)
+def test_matrix_validation_edges(entries, error, match, read_only):
+    # Finite entries whose sum overflows are a total mismatch, not a
+    # non-finite input; -inf and NaN are caught before the clamp.
+    e = owned_read_only(entries) if read_only else np.array(entries)
+    with pytest.raises(error, match=match):
+        JointSelectionMatrix(e)
+
+
+def test_matrix_minimum_and_total_are_those_of_the_stored_entries():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        e = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        np.fill_diagonal(e, 0.0)
+        e[0, 1] += 1e-3
+        e /= e.sum()
+        e[(e == 0.0) & (rng.random((n, n)) < 0.3)] = -rng.choice([0.0, 1e-13, 1e-16])
+        np.fill_diagonal(e, 0.0)
+        for given in (e, owned_read_only(e)):
+            m = JointSelectionMatrix(given)
+            assert m.entry_sum == float(m.entries.sum())
+            assert max(0.0, -m.min_entry) == max(0.0, -float(m.entries.min()))
+            if float(e.min()) >= 0.0:
+                assert m.min_entry == float(m.entries.min())
+
+
 def test_array_holding_types_compare_by_identity():
     # Their fields are arrays, so field-wise == would be ambiguous and hash
     # would fail; == and hash go by identity instead.
@@ -199,6 +289,31 @@ def test_satisfied_preferences_uniform():
     sp = satisfied_preferences(uniform_random(3))
     np.testing.assert_allclose(sp.pi_a, 1.0 / 3.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(sp.pi_b, 1.0 / 3.0, rtol=0, atol=1e-15)
+
+
+def test_satisfied_preferences_are_read_only_and_computed_once():
+    m = uniform_random(4)
+    sp = satisfied_preferences(m)
+    for pi in (sp.pi_a, sp.pi_b):
+        assert not pi.flags.writeable
+        with pytest.raises(ValueError):
+            pi[0] = 0.0
+    again = satisfied_preferences(m)
+    assert again.pi_a is sp.pi_a and again.pi_b is sp.pi_b
+
+
+def test_loss_after_kkt_verify_matches_a_fresh_matrix_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 5, 17, 64, 300):
+        s_hot = 1.0 + 0.9 * rng.random() + 1e-8
+        x = rng.uniform(s_hot - 1.0, 1.0)
+        a = np.append((1.0 - x) * rng.dirichlet(np.ones(n - 1)), x)
+        b = np.append((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), s_hot - x)
+        inst = validate_instance(a, b)
+        m = min_loss_matrix(inst, n - 1)
+        assert kkt_verify(inst, m).valid
+        fresh = JointSelectionMatrix(np.array(m.entries))
+        assert loss(m, inst) == loss(fresh, inst) == raw_loss(fresh.entries, inst.a, inst.b)
 
 
 def test_uniform_loss_on_table1(table1):
@@ -330,6 +445,58 @@ def test_sample_joint_chunks_match_one_shot_draw(draws):
     expected = np.zeros((5, 5), dtype=np.int64)
     expected[off] = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=20)
     np.testing.assert_array_equal(sample_joint(m, seed=31, draws=draws), expected)
+
+
+def full_off_diagonal_counts(m, seed: int, draws: int) -> np.ndarray:
+    """Counts from the inverse CDF over every off-diagonal cell, zeros included."""
+    n = m.n
+    off = ~np.eye(n, dtype=bool)
+    cdf = np.cumsum(m.entries[off])
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(draws)
+    counts = np.zeros((n, n), dtype=np.int64)
+    counts[off] = np.bincount(np.searchsorted(cdf, u, side="right"), minlength=n * n - n)
+    return counts
+
+
+def sparse_matrices():
+    """Matrices whose off-diagonal cells include exact zeros, -0.0 and dust."""
+    rng = np.random.default_rng(41)
+    hot = validate_instance([0.05, 0.05, 0.1, 0.8], [0.1, 0.0, 0.1, 0.8])
+    yield JointSelectionMatrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    yield JointSelectionMatrix(
+        np.array([[0.0, -0.0, 0.4, 1e-16], [0.0, 0.0, 0.0, 0.1], [-0.0, 0.3, 0.0, 0.0],
+                  [0.2 - 1e-16, 0.0, 0.0, 0.0]])
+    )
+    yield JointSelectionMatrix(np.asfortranarray(min_loss_matrix(hot, 3).entries))
+    yield min_loss_matrix(hot, 3)  # hot arm last: row 0 leads with zeros
+    yield min_loss_matrix(validate_instance(hot.a[::-1], hot.b[::-1]), 0)
+    for n in (4, 9, 33):
+        yield construct_zero_loss(random_feasible_instance(rng, n))
+    yield construct_zero_loss(validate_instance([0.5, 0.0, 0.25, 0.25], [0.0, 0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1])
+def test_sample_joint_over_the_support_matches_the_full_formula(draws):
+    for k, m in enumerate(sparse_matrices()):
+        np.testing.assert_array_equal(
+            sample_joint(m, seed=k, draws=draws), full_off_diagonal_counts(m, k, draws)
+        )
+
+
+def test_sample_joint_matches_the_full_formula_on_random_sparse_matrices():
+    rng = np.random.default_rng(43)
+    for k in range(300):
+        n = int(rng.integers(2, 12))
+        e = rng.random((n, n)) * (rng.random((n, n)) < rng.random())
+        e[rng.random((n, n)) < 0.2] = rng.choice([-0.0, 1e-16, 1e-300])
+        np.fill_diagonal(e, 0.0)
+        if not e.any():
+            e[0, 1] = 1.0
+        m = JointSelectionMatrix(e / e.sum())
+        np.testing.assert_array_equal(
+            sample_joint(m, seed=k, draws=2000), full_off_diagonal_counts(m, k, 2000)
+        )
 
 
 def test_sample_joint_rejects_bad_arguments():

@@ -311,6 +311,22 @@ def test_kkt_verify_allocates_no_dense_array():
     assert peak < n * n * 8
 
 
+def test_hot_arm_dispatch_holds_one_dense_array():
+    # Growth pin: the answer's own N x N entries plus O(N). The builder hands
+    # its read-only array to JointSelectionMatrix, which adopts it instead of
+    # copying, and loss reuses the marginals kkt_verify took.
+    n = 2048
+    inst = hot_arm_instance(np.random.default_rng(6), n)
+    tracemalloc.start()
+    try:
+        result = optimal_satisfaction_matrix(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.branch == "min-loss" and result.certificate.valid
+    assert peak <= 1.25 * n * n * 8
+
+
 # --------------------------------------------------------------------------
 # convexity
 # --------------------------------------------------------------------------
