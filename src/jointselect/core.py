@@ -16,9 +16,12 @@ The popularity of arm i is S_i = A_i + B_i; since both preference vectors
 sum to the total T, popularities always sum to 2T. Whether zero loss is
 achievable depends only on whether any arm has S_i > T.
 
-A JointSelectionMatrix reads its N x N entries once per reduction: it
-adopts suitable read-only arrays instead of copying them, and keeps the
-minimum, total and marginals it takes (see its docstring).
+A JointSelectionMatrix is stored as its nonzero off-diagonal cells
+(rows, cols, vals) in row-major order: the package's builders hand over
+the cells they already know (a `Cells` value), and validation, marginals,
+certificates and sampling read those. The dense N x N `entries` is kept
+too, for the output formats and for one dense-order sum, the total (see
+its docstring).
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import (
     DimensionMismatchError,
@@ -54,6 +59,8 @@ SUM_RTOL = 1e-9
 # sample_joint draws its uniforms this many at a time, so its working
 # memory stays the same however many draws are asked for.
 SAMPLE_CHUNK = 1 << 18
+
+_DIAGONAL_ERROR = "diagonal entries must be exactly 0 (conflict-freedom)"
 
 
 def _tol(total: float) -> float:
@@ -143,6 +150,113 @@ def validate_instance(a, b, total: float = 1.0) -> ProblemInstance:
     return ProblemInstance(a, b, total)
 
 
+class Cells(NamedTuple):
+    """The off-diagonal cells of an N x N matrix; every other entry is 0.
+
+    Cell k holds ``vals[k]`` at ``(rows[k], cols[k])``. Cells are distinct
+    and in row-major order. Pass one to JointSelectionMatrix in place of
+    the dense entries.
+    """
+
+    n: int
+    rows: ArrayLike
+    cols: ArrayLike
+    vals: ArrayLike
+
+
+def _dense_entries(e) -> tuple[Mat, float, float]:
+    """Validate dense entries; returns them read-only with their minimum and sum.
+
+    A float64, C-contiguous ndarray that owns its data and is already
+    read-only is adopted; anything else is copied, and the clamp copies an
+    adopted array before writing. The total is checked by the caller.
+    """
+    adopted = (
+        type(e) is np.ndarray
+        and e.dtype == np.float64
+        and e.flags.c_contiguous
+        and e.base is None
+        and not e.flags.writeable
+    )
+    if not adopted:
+        e = np.array(e, dtype=np.float64)
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        raise ValidationError(f"matrix must be square, got shape {e.shape}")
+    if e.shape[0] < 2:
+        raise ValidationError("matrix needs at least 2 arms")
+    # min shows NaN and -inf. Past it, +inf shows as a non-finite sum,
+    # which finite entries can also give by overflow, so max tells the
+    # two apart only then.
+    lo = float(e.min())
+    if not isfinite(lo) or not (isfinite(entry_sum := float(e.sum())) or isfinite(e.max())):
+        raise ValidationError("matrix contains non-finite entries")
+    if lo < -ENTRY_CLAMP:
+        raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
+    if lo < 0.0:
+        if adopted:
+            e = e.copy()
+        e[e < 0.0] = 0.0
+        lo, entry_sum = 0.0, float(e.sum())
+    if np.any(np.diagonal(e) != 0.0):
+        raise ValidationError(_DIAGONAL_ERROR)
+    e.setflags(write=False)
+    return e, lo, entry_sum
+
+
+def _positions(x, n: int) -> NDArray[np.intp]:
+    x = np.asarray(x)
+    if x.size and x.dtype.kind not in "iu":
+        raise ValidationError(f"cell positions must be integers, got {x.dtype}")
+    x = x.astype(np.intp)
+    # Viewed as unsigned, a negative position is out of range too.
+    if x.size and x.view(np.uintp).max() >= n:
+        raise ValidationError(f"cell positions out of range for n = {n}")
+    return x
+
+
+def _cell_entries(c: Cells) -> tuple[Mat, float, float, tuple]:
+    """Validate cells as _dense_entries validates entries, in the same order.
+
+    Returns the dense entries scattered from the cells (read-only), their
+    minimum and sum, and the (rows, cols, vals) of the nonzero cells.
+    """
+    n = c.n
+    if not isinstance(n, (int, np.integer)):
+        raise ValidationError(f"cells need an integer n, got {n!r}")
+    if n < 2:
+        raise ValidationError("matrix needs at least 2 arms")
+    rows, cols = _positions(c.rows, n), _positions(c.cols, n)
+    vals = np.array(c.vals, dtype=np.float64)
+    if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
+        raise ValidationError("cells need 1-D rows, cols and vals of one length")
+    key = rows * n + cols
+    if np.count_nonzero(key[1:] <= key[:-1]):
+        raise ValidationError("cells must be distinct and in row-major order")
+    e = np.zeros((n, n))
+    flat = e.ravel()
+    flat[key] = vals
+    entry_sum = float(e.sum())
+    # A finite sum rules out NaN and infinities; a non-finite one can also
+    # be an overflow of finite entries, which the total check reports.
+    if not isfinite(entry_sum) and not np.isfinite(vals).all():
+        raise ValidationError("matrix contains non-finite entries")
+    # Every entry outside the cells is +0.0, the diagonal at least.
+    lo = min(float(vals.min()), 0.0) if vals.size else 0.0
+    if lo < -ENTRY_CLAMP:
+        raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
+    if lo < 0.0:
+        vals[vals < 0.0] = 0.0
+        flat[key] = vals
+        lo, entry_sum = 0.0, float(e.sum())
+    if np.count_nonzero(rows == cols):
+        raise ValidationError(_DIAGONAL_ERROR)
+    e.setflags(write=False)
+    if np.count_nonzero(vals) < vals.size:
+        nonzero = vals != 0.0
+        rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    return e, lo, entry_sum, (rows, cols, vals)
+
+
 @dataclass(frozen=True, eq=False)
 class JointSelectionMatrix:
     """An N x N joint selection probability matrix with zero diagonal.
@@ -152,60 +266,48 @@ class JointSelectionMatrix:
     player A is assigned arm i while player B is assigned arm j; the zero
     diagonal is what makes the assignment conflict-free.
 
-    The stored entries are read-only. A float64, C-contiguous ndarray that
-    owns its data and is already read-only is adopted as is (the package's
-    own builders hand theirs over this way; the owner must not make it
-    writable again); any other input is copied, and the clamp copies an
-    adopted array before writing. ``min_entry`` and ``entry_sum`` are the
-    minimum and sum of the stored entries, taken once during validation;
-    ``marginals`` (row sums, column sums) is computed on first read and
-    kept. ``==`` and ``hash`` go by identity.
+    The matrix is stored as ``rows``, ``cols`` and ``vals``: its nonzero
+    off-diagonal cells in row-major order, as read-only arrays. Give it
+    either those cells, as a ``Cells(n, rows, cols, vals)`` value (cells
+    of value 0 are dropped; a cell on the diagonal is an error whatever
+    its value), or the dense entries, which are validated as a whole and
+    then give up their nonzero cells. Both raise the same errors in the
+    same order: non-finite values, the clamp, the diagonal, the total.
+
+    ``entries`` is the dense read-only array. From cells it is scattered
+    once; a float64, C-contiguous ndarray that owns its data and is
+    already read-only is adopted as is (the owner must not make it
+    writable again), and any other dense input is copied. ``min_entry``
+    is the minimum entry and ``entry_sum`` is ``float(entries.sum())``,
+    the sum in numpy's dense order, taken once. ``marginals`` (row sums,
+    column sums) is computed from the cells on first read and kept.
+    ``==`` and ``hash`` go by identity.
     """
 
     entries: Mat
     total: float = 1.0
     min_entry: float = field(init=False, repr=False)
     entry_sum: float = field(init=False, repr=False)
+    rows: NDArray[np.intp] = field(init=False, repr=False)
+    cols: NDArray[np.intp] = field(init=False, repr=False)
+    vals: Vec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        e = self.entries
-        adopted = (
-            type(e) is np.ndarray
-            and e.dtype == np.float64
-            and e.flags.c_contiguous
-            and e.base is None
-            and not e.flags.writeable
-        )
-        if not adopted:
-            e = np.array(e, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValidationError(f"matrix must be square, got shape {e.shape}")
-        if e.shape[0] < 2:
-            raise ValidationError("matrix needs at least 2 arms")
-        # min shows NaN and -inf. Past it, +inf shows as a non-finite sum,
-        # which finite entries can also give by overflow, so max tells the
-        # two apart only then.
-        lo = float(e.min())
-        if not np.isfinite(lo) or not (
-            np.isfinite(entry_sum := float(e.sum())) or np.isfinite(e.max())
-        ):
-            raise ValidationError("matrix contains non-finite entries")
-        if lo < -ENTRY_CLAMP:
-            raise ValidationError(
-                f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}"
-            )
-        if lo < 0.0:
-            if adopted:
-                e = e.copy()
-            e[e < 0.0] = 0.0
-            lo, entry_sum = 0.0, float(e.sum())
-        if np.any(np.diagonal(e) != 0.0):
-            raise ValidationError("diagonal entries must be exactly 0 (conflict-freedom)")
+        if isinstance(self.entries, Cells):
+            e, lo, entry_sum, cells = _cell_entries(self.entries)
+        else:
+            e, lo, entry_sum = _dense_entries(self.entries)
+            cells = None
         if abs(entry_sum - self.total) > _tol(self.total):
             raise TotalMismatchError(
                 f"entries sum to {entry_sum:.17g}, declared total is {self.total:.17g}"
             )
-        e.setflags(write=False)
+        if cells is None:
+            key = np.flatnonzero(e)  # the diagonal is exactly 0
+            cells = (*np.divmod(key, e.shape[0]), e.ravel()[key])
+        for name, x in zip(("rows", "cols", "vals"), cells):
+            x.setflags(write=False)
+            object.__setattr__(self, name, x)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "total", float(self.total))
         object.__setattr__(self, "min_entry", lo)
@@ -217,11 +319,25 @@ class JointSelectionMatrix:
 
     @cached_property
     def marginals(self) -> tuple[Vec, Vec]:
-        """(row sums, column sums) of the entries, read-only, computed once."""
-        rows, cols = self.entries.sum(axis=1), self.entries.sum(axis=0)
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        return rows, cols
+        """(row sums, column sums) of the entries, read-only, computed once.
+
+        Both equal ``entries.sum(axis=1)`` and ``entries.sum(axis=0)`` bit
+        for bit. Numpy sums a column down the rows in order, as bincount
+        sums the row-major cells. A row is summed pairwise, which differs
+        from bincount's order only when it holds three or more nonzero
+        cells (x + y is one rounding either way), so those rows alone are
+        summed from the dense entries. tests/test_cells.py holds numpy to
+        this, so a numpy upgrade that changes its summation order fails there.
+        """
+        n = self.n
+        pi_a = np.bincount(self.rows, self.vals, n)
+        heavy = np.bincount(self.rows, minlength=n) >= 3
+        if np.count_nonzero(heavy):
+            pi_a[heavy] = self.entries[heavy].sum(axis=1)
+        pi_b = np.bincount(self.cols, self.vals, n)
+        pi_a.setflags(write=False)
+        pi_b.setflags(write=False)
+        return pi_a, pi_b
 
 
 @dataclass(frozen=True)
@@ -287,30 +403,31 @@ def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
 def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.int64]:
     """Draw arm pairs from the matrix; returns an N x N count matrix.
 
-    Sampling is inverse-CDF over the nonzero off-diagonal entries in
-    row-major order, driven by numpy's PCG64 generator, so identical
-    (matrix, seed, draws) triples reproduce identical counts. Leaving out
-    the zero cells changes no count: the cumulative sum adds them exactly,
-    and a right-sided search never lands on a cell of zero weight. Uniforms
-    are drawn SAMPLE_CHUNK at a time, which continues the same stream, so
-    the counts equal a one-shot draw while memory stays O(N^2 + SAMPLE_CHUNK).
-    Requires a unit total; the diagonal of the result is always 0.
+    Sampling is inverse-CDF over the matrix's cells (its nonzero
+    off-diagonal entries in row-major order), driven by numpy's PCG64
+    generator, so identical (matrix, seed, draws) triples reproduce
+    identical counts. Leaving out the zero cells changes no count: the
+    cumulative sum adds them exactly, and a right-sided search never lands
+    on a cell of zero weight. Uniforms are drawn SAMPLE_CHUNK at a time,
+    which continues the same stream, so the counts equal a one-shot draw
+    while the working memory stays O(cells + SAMPLE_CHUNK) besides the
+    N x N result. Requires a unit total; the diagonal of the result is
+    always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
     _require_unit_total(m.total, "sampling")
-    flat = m.entries.ravel()
-    support = np.flatnonzero(flat)  # the diagonal is exactly zero
-    cdf = np.cumsum(flat[support])
+    n = m.n
+    cdf = np.cumsum(m.vals)
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
-    picked = np.zeros(support.size, dtype=np.int64)
+    picked = np.zeros(cdf.size, dtype=np.int64)
     for start in range(0, draws, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, draws - start))
-        picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=support.size)
-    counts = np.zeros(flat.size, dtype=np.int64)
-    counts[support] = picked
-    return counts.reshape(m.entries.shape)
+        picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
+    counts = np.zeros((n, n), dtype=np.int64)
+    counts[m.rows, m.cols] = picked
+    return counts
 
 
 # --------------------------------------------------------------------------
@@ -349,13 +466,17 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f'"n" must be an integer >= 2, got {n!r}')
-    entries = np.asarray(obj["entries"], dtype=np.float64)
+    entries = np.array(obj["entries"], dtype=np.float64)
     if entries.size != n * n:
         raise ValidationError(
             f'"entries" must hold n*n = {n * n} reals, got {entries.size}'
         )
+    # Reshaped in place, the array still owns its data, so the matrix
+    # adopts it instead of copying.
+    entries.resize((n, n))
+    entries.setflags(write=False)
     total = obj.get("total", 1.0)
-    return JointSelectionMatrix(entries.reshape(n, n), float(total))
+    return JointSelectionMatrix(entries, float(total))
 
 
 def matrix_to_csv(m: JointSelectionMatrix) -> str:

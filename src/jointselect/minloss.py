@@ -14,13 +14,13 @@ constraints) whose four residuals a verifier can check numerically, and
 the fact that the loss is a convex quadratic, whose Hessian over the
 off-diagonal coordinates is H[(i,j),(k,l)] = 2(delta_ik + delta_jl).
 `kkt_verify` measures the residuals from the matrix's marginals, its
-minimum and total, and the largest entry off the hot row and column, in
-O(N) extra memory; the dense lambda is built only when a caller reads
-`KktCertificate.lam`. The marginals, minimum and total are taken once per
-matrix (the minimum and total while the matrix is validated), so the loss
-computed after the certificate reads no N x N array, and the hot-arm
-matrix is built read-only and adopted by `JointSelectionMatrix` without
-a copy.
+minimum and total, and the largest cell off the hot row and column, in
+O(N) extra memory and without reading the dense entries; the dense lambda
+is built only when a caller reads `KktCertificate.lam`. The hot-arm
+matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells, so its
+validation, marginals and certificate read O(N) values. The one N x N
+step left is the dense-order total the matrix takes once, to which the
+primal residual is pinned bit for bit.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -37,6 +37,7 @@ from numpy.typing import NDArray
 
 from .core import (
     SUM_RTOL,
+    Cells,
     JointSelectionMatrix,
     Mat,
     ProblemInstance,
@@ -153,12 +154,13 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
             "more than one arm with popularity > 1 despite unit total"
         )
     eps = (float(s[hot]) - 1.0) / (2.0 * (n - 1))
-    entries = np.zeros((n, n))
-    entries[:, hot] = inst.a + eps
-    entries[hot, :] = inst.b + eps
-    entries[hot, hot] = 0.0
-    entries.setflags(write=False)
-    return JointSelectionMatrix(entries, 1.0)
+    # Row-major cells: (i, hot) for i < hot, the hot row, (i, hot) for i > hot.
+    cold = np.delete(np.arange(n), hot)
+    at_hot = np.full(n - 1, hot)
+    rows = np.concatenate([cold[:hot], at_hot, cold[hot:]])
+    cols = np.concatenate([at_hot[:hot], cold, at_hot[hot:]])
+    vals = np.concatenate([inst.a[:hot], inst.b[cold], inst.a[hot + 1:]]) + eps
+    return JointSelectionMatrix(Cells(n, rows, cols, vals), 1.0)
 
 
 def _extremes(v: Vec) -> NDArray[np.intp]:
@@ -180,10 +182,11 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     constant on each block (hot row, hot column, cold x cold), and float
     rounding is monotone, so each block's largest stationarity term sits
     at an extreme pair: the two largest or two smallest ga and gb over its
-    rows and columns, i != j. Slackness needs only the largest entry off
+    rows and columns, i != j. Slackness needs only the largest cell off
     the hot row and column. Each term is computed with the same float
     operations as the dense form, so the residuals equal it bit for bit.
-    The marginals, minimum and total are the matrix's own, taken once.
+    The marginals, minimum and total are the matrix's own, taken once; the
+    dense entries are not read.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
@@ -204,15 +207,13 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     terms = np.abs(ga[rows][:, None] + gb[cols][None, :] - lam + mu)
     stationarity = float(terms[rows[:, None] != cols[None, :]].max())
 
-    e = m.entries
-    blocks = (e[:hot, :hot], e[:hot, hot + 1:], e[hot + 1:, :hot], e[hot + 1:, hot + 1:])
-    slackness = abs(lam_cold * max(float(b.max()) for b in blocks if b.size))
+    # Cells are positive, and the region off the hot row and column also
+    # holds zeros (its diagonal at least), so 0 starts the max.
+    off_hot = (m.rows != hot) & (m.cols != hot)
+    slackness = abs(lam_cold * float(np.max(m.vals, where=off_hot, initial=0.0)))
     dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
-    primal = max(
-        max(0.0, -m.min_entry),
-        abs(m.entry_sum - 1.0),
-        float(np.abs(np.diagonal(e)).max()),
-    )
+    # The diagonal is exactly 0 by validation, so it adds no primal term.
+    primal = max(max(0.0, -m.min_entry), abs(m.entry_sum - 1.0))
     return KktCertificate(eps, mu, KktResiduals(stationarity, slackness, dual, primal), n, hot)
 
 

@@ -12,11 +12,16 @@ original arm indices. Heaps keyed (S_i, i) and (-S_i, i), with stale
 entries dropped when they surface, pick K and V with ties going to the
 lowest index. Each peel writes one row and one column of (i, j, value)
 cells and updates only the weights and popularities of the arms it
-touched, so an N-arm instance costs O(N log N) outside the final dense
-scatter. The result is a basic feasible solution of a transportation
-problem: at most 2N - 1 nonzero entries. Row and column marginals are
-checked once, at the end. `fill_row_col`, `reduce_instance` and
-`base_case_three` expose the single steps on validated instances.
+touched, so an N-arm instance costs O(N log N). The result is a basic
+feasible solution of a transportation problem: at most 2N - 1 nonzero
+entries, beyond float dust. The peeled cells and the six off-diagonal
+entries of the three-arm block are sorted into row-major order and
+handed to `JointSelectionMatrix` as cells, so the answer is validated
+once, as a whole; it scatters them into the dense entries once. The
+marginals, checked at the end, come from the cells (plus a dense sum of
+each row with three or more cells), and the total from the dense
+entries. `fill_row_col`, `reduce_instance` and `base_case_three` expose
+the single steps on validated instances.
 
 The three-arm solution is a one-parameter family in p = P[0, 1]:
 
@@ -46,6 +51,7 @@ import numpy as np
 
 from .core import (
     ENTRY_CLAMP,
+    Cells,
     JointSelectionMatrix,
     ProblemInstance,
     Vec,
@@ -97,25 +103,27 @@ def base_case_interval(inst: ProblemInstance) -> tuple[float, float]:
     return lo, hi
 
 
+# The off-diagonal positions of a 3 x 3 matrix in row-major order.
+_BASE_ROWS = (0, 0, 1, 1, 2, 2)
+_BASE_COLS = (1, 2, 0, 2, 0, 1)
+
+
+def _base_values(inst: ProblemInstance) -> list[float]:
+    """The three-arm solution's entries at _BASE_ROWS, _BASE_COLS."""
+    _require_feasible(float(inst.popularity.max()), inst.total)
+    a, b, t = inst.a, inst.b, inst.total
+    p, _ = base_case_interval(inst)
+    vals = [p, a[0] - p, t - p - a[2] - b[2], p - a[0] + b[2], p + a[2] - b[1], b[1] - p]
+    # cancellation can leave -1e-17-ish dust on entries that are exactly 0
+    return [0.0 if x < 0.0 else float(x) for x in vals]
+
+
 def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     """Explicit zero-loss matrix for three arms, free entry at its lower bound."""
     if inst.n != 3:
         raise ValidationError(f"base case needs N=3, got {inst.n}")
-    _require_feasible(float(inst.popularity.max()), inst.total)
-    a, b, t = inst.a, inst.b, inst.total
-    p, _ = base_case_interval(inst)
-    entries = np.array(
-        [
-            [0.0, p, a[0] - p],
-            [t - p - a[2] - b[2], 0.0, p - a[0] + b[2]],
-            [p + a[2] - b[1], b[1] - p, 0.0],
-        ]
-    )
-    # cancellation can leave -1e-17-ish dust on entries that are exactly 0
-    entries[entries < 0.0] = 0.0
-    np.fill_diagonal(entries, 0.0)
-    entries.setflags(write=False)
-    return JointSelectionMatrix(entries, t)
+    vals = _base_values(inst)
+    return JointSelectionMatrix(Cells(3, _BASE_ROWS, _BASE_COLS, vals), inst.total)
 
 
 def _spill(w, rem: float, k: int, v: int, alive, start: int, tol: float, case: int):
@@ -282,9 +290,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
                 f"two arms admit zero loss only when S = ({t:.17g}, {t:.17g}); "
                 f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
             )
-        entries = np.array([[0.0, inst.a[0]], [inst.a[1], 0.0]])
-        entries.setflags(write=False)
-        return JointSelectionMatrix(entries, t)
+        return JointSelectionMatrix(Cells(2, [0, 1], [1, 0], inst.a), t)
     _require_feasible(float(inst.popularity.max()), t)
     if n == 3:
         return base_case_three(inst)
@@ -340,19 +346,18 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
         total = new_total
 
     live = [i for i in range(n) if alive[i]]
-    base = base_case_three(validate_instance([a[i] for i in live], [b[i] for i in live], total))
-    entries = np.zeros((n, n))
-    rows, cols, vals = zip(*cells)
-    entries[rows, cols] = vals
-    entries[np.ix_(live, live)] = base.entries
-    miss = max(
-        float(np.abs(entries.sum(axis=1) - inst.a).max()),
-        float(np.abs(entries.sum(axis=0) - inst.b).max()),
-    )
+    base = validate_instance([a[i] for i in live], [b[i] for i in live], total)
+    # The base block goes in whole, zeros too, as the peel's cells do.
+    rows = [live[i] for i in _BASE_ROWS]
+    cols = [live[j] for j in _BASE_COLS]
+    cells.extend(zip(rows, cols, _base_values(base)))
+    cells.sort()  # row-major: positions are distinct, so values are never compared
+    m = JointSelectionMatrix(Cells(n, *zip(*cells)), t)
+    pi_a, pi_b = m.marginals
+    miss = max(float(np.abs(pi_a - inst.a).max()), float(np.abs(pi_b - inst.b).max()))
     if miss > _tol(t):
         raise InternalInvariantError(f"assembled marginals miss the preferences by {miss:.3e}")
-    entries.setflags(write=False)
-    return JointSelectionMatrix(entries, t)
+    return m
 
 
 __all__ = [

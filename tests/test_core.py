@@ -34,6 +34,7 @@ from jointselect import (
     validate_instance,
     validate_multi,
 )
+from jointselect import core
 from jointselect.core import SAMPLE_CHUNK
 from jointselect.zeroloss import construct_zero_loss
 
@@ -544,6 +545,20 @@ def test_matrix_json_round_trip_is_exact():
     back = matrix_from_json(obj)
     np.testing.assert_array_equal(back.entries, m.entries)
     assert back.total == m.total
+
+
+def test_matrix_from_json_hands_over_the_array_it_parses(monkeypatch):
+    # The parsed array is reshaped in place and adopted, not copied again.
+    handed = []
+
+    def spy(entries, total=1.0):
+        handed.append(entries)
+        return JointSelectionMatrix(entries, total)
+
+    monkeypatch.setattr(core, "JointSelectionMatrix", spy)
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(uniform_random(4)))))
+    assert np.shares_memory(back.entries, handed[0])
+    np.testing.assert_array_equal(back.entries, uniform_random(4).entries)
 
 
 def test_matrix_from_json_ignores_extra_keys():
