@@ -19,9 +19,10 @@ achievable depends only on whether any arm has S_i > T.
 A JointSelectionMatrix is stored as its nonzero off-diagonal cells
 (rows, cols, vals) in row-major order: the package's builders hand over
 the cells they already know (a `Cells` value), and validation, marginals,
-certificates and sampling read those. The dense N x N `entries` is kept
-too, for the output formats and for one dense-order sum, the total (see
-its docstring).
+certificates and sampling read those. A matrix built from cells forms no
+N x N array: its dense `entries` is scattered on first read, for the
+output formats, and its total in numpy's dense order is computed from the
+cells by a replica of numpy's pairwise summation (`_dense_order_sum`).
 """
 
 from __future__ import annotations
@@ -62,9 +63,92 @@ SAMPLE_CHUNK = 1 << 18
 
 _DIAGONAL_ERROR = "diagonal entries must be exactly 0 (conflict-freedom)"
 
+# Two sums of the same nonnegative values in different orders, each by a
+# tree at most 90 additions deep (numpy's pairwise sums of any length
+# below 2**63 are), differ by at most 2 * 90 * 2**-53 of their sum
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2).
+# This band covers that and the rounding of the band's own edges.
+_SUM_BAND = 256 * 2.0**-53
+
+# bitrev_8(k) for k = 0 .. 255: the 8 bits of k in reverse order.
+_BITREV8 = np.array([int(f"{k:08b}"[::-1], 2) for k in range(256)], dtype=np.intp)
+
 
 def _tol(total: float) -> float:
     return SUM_RTOL * max(1.0, abs(total))
+
+
+def _bit_reversed(d: int) -> NDArray[np.intp]:
+    """bitrev_d(k) for k = 0 .. 2**d - 1: the d low bits of k in reverse order."""
+    s = min(d, 8)
+    low = _BITREV8[: 1 << s] >> (8 - s)  # of the s low bits of k
+    if d == s:
+        return low
+    return ((low << (d - s))[None, :] | _bit_reversed(d - s)[:, None]).ravel()
+
+
+def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
+    """``float(a.sum())`` of the float64 array ``a`` of this length that holds
+    ``vals`` at the strictly increasing positions ``pos`` and 0 elsewhere.
+
+    The sum is numpy's pairwise summation of ``a`` (``pairwise_sum`` in
+    numpy's umath loops), replayed without forming ``a``. numpy adds an
+    array of fewer than 8 elements one by one, starting from +0.0. A block
+    of 8 to 128 elements is summed in 8 lanes, lane j adding elements j,
+    j + 8, ... in order; then the lanes are added as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the
+    length % 8 elements left over, one by one. A longer run is split at
+    8 * floor(length / 16) and its two halves are added. A zero leaves a
+    nonzero partial sum as it is, and numpy's result starts from +0.0, so
+    the zeros of ``a`` are left out. Scratch memory is O(pos.size +
+    length / 64).
+    """
+    if pos.size == 0:
+        return 0.0
+    chunks, tail = divmod(length, 8)
+    # Counted in chunks of 8 elements, a run of c chunks splits into c >> 1
+    # and (c + 1) >> 1 and the tail stays in the last run, so node k at
+    # depth d holds (chunks + bitrev_d(k)) >> d chunks. The blocks are the
+    # nodes at `depth`, the first depth at which none holds more than 16
+    # chunks, with two exceptions: a node of 16 chunks one level up is a
+    # block already, and a last node of 16 chunks that also holds the tail
+    # is split once more, into 8 chunks and 8 chunks plus the tail.
+    depth = ((chunks - 1) >> 4).bit_length() if chunks else 0
+    q, t = chunks >> depth, chunks & ((1 << depth) - 1)
+    big = _bit_reversed(depth) >= (1 << depth) - t  # nodes of q + 1 chunks; the rest hold q
+    split = bool(tail) and q + big[-1] == 16
+    inner = int(np.searchsorted(pos, 8 * chunks))  # the cells before the tail
+    chunk = pos[:inner] >> 3
+    node = np.searchsorted(np.cumsum(q + big), chunk, side="right")
+    # Each block gets a key that grows with position: 2k for node k, 4j for
+    # a block of the two nodes 2j and 2j + 1, and 2k + 1 for the second half
+    # of a split node k. The key // 2 is the node the block's sum lands in.
+    key = np.empty(pos.size, dtype=np.intp)
+    block = key[:inner]
+    np.left_shift(node, 1, out=block)
+    if depth and q == 8:
+        whole = ~(big[0::2] | big[1::2])  # pairs of 8 + 8 chunks
+        block[whole[node >> 1]] &= ~3
+    if split:
+        block += chunk >= chunks - 8
+    key[inner:] = (2 << depth) - 2 + split
+    first = np.empty(pos.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    live = key[first]
+    rank = np.cumsum(first) - 1
+    # bincount adds the weights of one bin in input order, from +0.0.
+    lanes = np.bincount(8 * rank[:inner] + (pos[:inner] & 7), vals[:inner], 8 * live.size)
+    lanes = lanes.astype(np.float64, copy=False).reshape(-1, 8)  # bincount of nothing is int
+    for _ in range(3):
+        lanes = lanes[:, 0::2] + lanes[:, 1::2]
+    sums = lanes.ravel()
+    for x in vals[inner:].tolist():  # the tail, in the last block
+        sums[-1] += x
+    nodes = np.bincount(live >> 1, sums, 1 << depth)
+    for _ in range(depth):
+        nodes = nodes[0::2] + nodes[1::2]
+    return float(nodes[0])
 
 
 def _clean_weights(w: NDArray[np.float64], what: str) -> Vec:
@@ -214,17 +298,20 @@ def _positions(x, n: int) -> NDArray[np.intp]:
     return x
 
 
-def _cell_entries(c: Cells) -> tuple[Mat, float, float, tuple]:
+def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
     """Validate cells as _dense_entries validates entries, in the same order.
 
-    Returns the dense entries scattered from the cells (read-only), their
-    minimum and sum, and the (rows, cols, vals) of the nonzero cells.
+    Returns n, the minimum entry, the sum of the cells in their own order
+    (the total is checked by the caller), the (rows, cols, vals) of the
+    nonzero cells, and the flat positions and values of all the cells as
+    validated: zeros of either sign included, clamped cells at +0.0.
     """
     n = c.n
     if not isinstance(n, (int, np.integer)):
         raise ValidationError(f"cells need an integer n, got {n!r}")
     if n < 2:
         raise ValidationError("matrix needs at least 2 arms")
+    n = int(n)
     rows, cols = _positions(c.rows, n), _positions(c.cols, n)
     vals = np.array(c.vals, dtype=np.float64)
     if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
@@ -232,13 +319,10 @@ def _cell_entries(c: Cells) -> tuple[Mat, float, float, tuple]:
     key = rows * n + cols
     if np.count_nonzero(key[1:] <= key[:-1]):
         raise ValidationError("cells must be distinct and in row-major order")
-    e = np.zeros((n, n))
-    flat = e.ravel()
-    flat[key] = vals
-    entry_sum = float(e.sum())
+    cell_sum = float(vals.sum())
     # A finite sum rules out NaN and infinities; a non-finite one can also
     # be an overflow of finite entries, which the total check reports.
-    if not isfinite(entry_sum) and not np.isfinite(vals).all():
+    if not isfinite(cell_sum) and not np.isfinite(vals).all():
         raise ValidationError("matrix contains non-finite entries")
     # Every entry outside the cells is +0.0, the diagonal at least.
     lo = min(float(vals.min()), 0.0) if vals.size else 0.0
@@ -246,18 +330,29 @@ def _cell_entries(c: Cells) -> tuple[Mat, float, float, tuple]:
         raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
     if lo < 0.0:
         vals[vals < 0.0] = 0.0
-        flat[key] = vals
-        lo, entry_sum = 0.0, float(e.sum())
+        lo, cell_sum = 0.0, float(vals.sum())
     if np.count_nonzero(rows == cols):
         raise ValidationError(_DIAGONAL_ERROR)
-    e.setflags(write=False)
+    placed = (key, vals)
     if np.count_nonzero(vals) < vals.size:
         nonzero = vals != 0.0
         rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    return e, lo, entry_sum, (rows, cols, vals)
+    return n, lo, cell_sum, (rows, cols, vals), placed
 
 
-@dataclass(frozen=True, eq=False)
+def _surely_within(rough: float, total: float) -> bool:
+    """Whether the total check passes for every sum within _SUM_BAND of ``rough``.
+
+    The check |x - total| <= tol passes on an interval of x, as float
+    subtraction is monotone, so it is enough that both edges of the band
+    pass. False for a non-finite ``rough``.
+    """
+    band = _SUM_BAND * abs(rough)
+    tol = _tol(total)
+    return abs(rough - band - total) <= tol and abs(rough + band - total) <= tol
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class JointSelectionMatrix:
     """An N x N joint selection probability matrix with zero diagonal.
 
@@ -274,48 +369,76 @@ class JointSelectionMatrix:
     then give up their nonzero cells. Both raise the same errors in the
     same order: non-finite values, the clamp, the diagonal, the total.
 
-    ``entries`` is the dense read-only array. From cells it is scattered
-    once; a float64, C-contiguous ndarray that owns its data and is
-    already read-only is adopted as is (the owner must not make it
-    writable again), and any other dense input is copied. ``min_entry``
-    is the minimum entry and ``entry_sum`` is ``float(entries.sum())``,
-    the sum in numpy's dense order, taken once. ``marginals`` (row sums,
-    column sums) is computed from the cells on first read and kept.
+    ``entries`` is the dense read-only array. Dense input is kept as it
+    is: a float64, C-contiguous ndarray that owns its data and is already
+    read-only is adopted (the owner must not make it writable again), and
+    any other is copied. From cells, no N x N array is formed until
+    ``entries`` is first read; it is then scattered from the cells as
+    validated, zero cells included (a -0.0 cell stays -0.0, a clamped one
+    is +0.0), and kept.
+
+    ``min_entry`` is the minimum entry. ``entry_sum`` is
+    ``float(entries.sum())``, the total in numpy's dense order: dense
+    input takes it from the entries, and cells get it on first read from a
+    replica of numpy's pairwise summation that needs no dense array. The
+    total check passes cells on their own sum when every sum within a
+    proven error band of it (_SUM_BAND) would pass; otherwise it computes
+    ``entry_sum`` and decides, and words its message, on that. Either way
+    it accepts and rejects as the dense entries would. ``marginals`` (row
+    sums, column sums) is computed from the cells on first read and kept.
     ``==`` and ``hash`` go by identity.
     """
 
-    entries: Mat
-    total: float = 1.0
-    min_entry: float = field(init=False, repr=False)
-    entry_sum: float = field(init=False, repr=False)
-    rows: NDArray[np.intp] = field(init=False, repr=False)
-    cols: NDArray[np.intp] = field(init=False, repr=False)
-    vals: Vec = field(init=False, repr=False)
+    n: int
+    total: float
+    min_entry: float = field(repr=False)
+    rows: NDArray[np.intp] = field(repr=False)
+    cols: NDArray[np.intp] = field(repr=False)
+    vals: Vec = field(repr=False)
+    # The flat positions and values of the validated cells, zeros included;
+    # None for dense input.
+    _placed: tuple[NDArray[np.intp], Vec] | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.entries, Cells):
-            e, lo, entry_sum, cells = _cell_entries(self.entries)
+    def __init__(self, entries: Mat | Cells, total: float = 1.0) -> None:
+        if isinstance(entries, Cells):
+            n, lo, cell_sum, cells, placed = _cell_store(entries)
+            entry_sum = None
+            if not _surely_within(cell_sum, total):
+                entry_sum = _dense_order_sum(n * n, *placed)
         else:
-            e, lo, entry_sum = _dense_entries(self.entries)
-            cells = None
-        if abs(entry_sum - self.total) > _tol(self.total):
+            e, lo, entry_sum = _dense_entries(entries)
+            n, placed = e.shape[0], None
+        if entry_sum is not None and abs(entry_sum - total) > _tol(total):
             raise TotalMismatchError(
-                f"entries sum to {entry_sum:.17g}, declared total is {self.total:.17g}"
+                f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"
             )
-        if cells is None:
+        if placed is None:
             key = np.flatnonzero(e)  # the diagonal is exactly 0
-            cells = (*np.divmod(key, e.shape[0]), e.ravel()[key])
+            cells = (*np.divmod(key, n), e.ravel()[key])
+            object.__setattr__(self, "entries", e)
         for name, x in zip(("rows", "cols", "vals"), cells):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
-        object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "total", float(total))
         object.__setattr__(self, "min_entry", lo)
-        object.__setattr__(self, "entry_sum", entry_sum)
+        object.__setattr__(self, "_placed", placed)
+        if entry_sum is not None:
+            object.__setattr__(self, "entry_sum", entry_sum)
 
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
+    @cached_property
+    def entries(self) -> Mat:
+        """The dense N x N entries, read-only; from cells, scattered on first read."""
+        key, vals = self._placed
+        e = np.zeros((self.n, self.n))
+        e.ravel()[key] = vals
+        e.setflags(write=False)
+        return e
+
+    @cached_property
+    def entry_sum(self) -> float:
+        """``float(entries.sum())``, computed from the cells without the entries."""
+        return _dense_order_sum(self.n * self.n, *self._placed)
 
     @cached_property
     def marginals(self) -> tuple[Vec, Vec]:
@@ -326,14 +449,20 @@ class JointSelectionMatrix:
         sums the row-major cells. A row is summed pairwise, which differs
         from bincount's order only when it holds three or more nonzero
         cells (x + y is one rounding either way), so those rows alone are
-        summed from the dense entries. tests/test_cells.py holds numpy to
-        this, so a numpy upgrade that changes its summation order fails there.
+        scattered into a block of their own and summed by numpy; zeros do
+        not change a sum of positive cells. tests/test_cells.py holds numpy
+        to this, so a numpy upgrade that changes its summation order fails
+        there.
         """
         n = self.n
         pi_a = np.bincount(self.rows, self.vals, n)
         heavy = np.bincount(self.rows, minlength=n) >= 3
         if np.count_nonzero(heavy):
-            pi_a[heavy] = self.entries[heavy].sum(axis=1)
+            which = np.flatnonzero(heavy)
+            take = heavy[self.rows]
+            block = np.zeros((which.size, n))
+            block[np.searchsorted(which, self.rows[take]), self.cols[take]] = self.vals[take]
+            pi_a[which] = block.sum(axis=1)
         pi_b = np.bincount(self.cols, self.vals, n)
         pi_a.setflags(write=False)
         pi_b.setflags(write=False)

@@ -17,10 +17,11 @@ off-diagonal coordinates is H[(i,j),(k,l)] = 2(delta_ik + delta_jl).
 minimum and total, and the largest cell off the hot row and column, in
 O(N) extra memory and without reading the dense entries; the dense lambda
 is built only when a caller reads `KktCertificate.lam`. The hot-arm
-matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells, so its
-validation, marginals and certificate read O(N) values. The one N x N
-step left is the dense-order total the matrix takes once, to which the
-primal residual is pinned bit for bit.
+matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells and forms
+no N x N array: its validation, marginals and certificate read O(N)
+values, and the dense-order total to which the primal residual is pinned
+bit for bit is computed from the cells, in O(N + N^2 / 64) scratch. The
+dense entries are scattered only when a caller reads them.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT

@@ -131,15 +131,13 @@ class JointTensorSparse:
 
 
 def tensor_from_matrix(m: JointSelectionMatrix) -> JointTensorSparse:
-    """Two-player bridge: a joint selection matrix as a sparse tensor."""
-    n = m.n
-    entries = {
-        (i, j): float(m.entries[i, j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and m.entries[i, j] != 0.0
-    }
-    return JointTensorSparse(entries, n, 2)
+    """Two-player bridge: a joint selection matrix as a sparse tensor.
+
+    The tensor's entries are the matrix's cells, its nonzero off-diagonal
+    entries in row-major order.
+    """
+    entries = dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
+    return JointTensorSparse(entries, m.n, 2)
 
 
 def feasibility_verdict(prefs: MultiPreferences) -> Feasibility:

@@ -17,11 +17,13 @@ feasible solution of a transportation problem: at most 2N - 1 nonzero
 entries, beyond float dust. The peeled cells and the six off-diagonal
 entries of the three-arm block are sorted into row-major order and
 handed to `JointSelectionMatrix` as cells, so the answer is validated
-once, as a whole; it scatters them into the dense entries once. The
-marginals, checked at the end, come from the cells (plus a dense sum of
-each row with three or more cells), and the total from the dense
-entries. `fill_row_col`, `reduce_instance` and `base_case_three` expose
-the single steps on validated instances.
+once, as a whole, and no N x N array is formed until its entries are
+read. The marginals, checked at the end, come from the cells (each row
+with three or more cells summed by numpy from a block of those rows
+alone), and the total is checked on the cells' own sum, which for an
+exact answer lies far inside the tolerance. `fill_row_col`,
+`reduce_instance` and `base_case_three` expose the single steps on
+validated instances.
 
 The three-arm solution is a one-parameter family in p = P[0, 1]:
 

@@ -16,7 +16,7 @@ from jointselect import (
     sample_joint,
     validate_instance,
 )
-from jointselect.core import SAMPLE_CHUNK, Cells
+from jointselect.core import SAMPLE_CHUNK, SUM_RTOL, Cells
 
 from conftest import random_feasible_instance
 
@@ -186,3 +186,76 @@ def test_cell_built_and_dense_built_sample_alike(draws, n, seed, shape):
     counts = sample_joint(m, seed=seed, draws=draws)
     np.testing.assert_array_equal(counts, sample_joint(dense, seed=seed, draws=draws))
     assert counts.sum() == draws
+
+
+# --------------------------------------------------------------------------
+# no N x N array until the entries are read
+# --------------------------------------------------------------------------
+
+def test_entries_are_scattered_once_on_first_read():
+    # Cells as given, zeros included: -0.0 stays -0.0, a clamped cell is +0.0.
+    cells = Cells(3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1], [0.5, -0.0, 0.25, -1e-13, 0.25, 0.0])
+    m = JointSelectionMatrix(cells)
+    assert "entries" not in vars(m)
+    first = m.entries
+    assert m.entries is first
+    assert not first.flags.writeable
+    want = np.zeros((3, 3))
+    want[cells.rows, cells.cols] = [0.5, -0.0, 0.25, 0.0, 0.25, 0.0]
+    assert first.tobytes() == want.tobytes()
+    assert first.tobytes() == JointSelectionMatrix(np.array(want)).entries.tobytes()
+    assert m.entry_sum == float(first.sum())
+
+
+def floats_around(x: float, k: int) -> list[float]:
+    """x and the k floats on either side of it."""
+    up, down = [x], [x]
+    for _ in range(k):
+        up.append(float(np.nextafter(up[-1], np.inf)))
+        down.append(float(np.nextafter(down[-1], -np.inf)))
+    return down[::-1] + up[1:]
+
+
+def edge_straddling_totals(cell_sum: float, dense_sum: float) -> list[float]:
+    """Totals for which the 1e-9 total check passes for one of the two sums
+    and fails for the other, from the floats around the edges sum +- 1e-9."""
+
+    def fails(x: float, total: float) -> bool:
+        return abs(x - total) > SUM_RTOL * max(1.0, abs(total))
+
+    return sorted({
+        total
+        for s in (cell_sum, dense_sum)
+        for edge in (s - 1e-9, s + 1e-9)
+        for total in floats_around(edge, 300)
+        if fails(cell_sum, total) != fails(dense_sum, total)
+    })
+
+
+def test_totals_between_the_cell_sum_and_the_dense_sum_decide_as_the_dense_form():
+    # The cells' own sum decides the total check only far from its edges;
+    # near them the dense-order sum does, so accept, reject and message
+    # stay those of the dense entries.
+    rng = np.random.default_rng(37)
+    straddled = {True: 0, False: 0}
+    tries = 0
+    while min(straddled.values()) < 20:
+        tries += 1
+        assert tries < 200
+        cells = random_cells(int(rng.integers(20, 60)), int(rng.integers(2**32)), "any")
+        e = np.zeros((cells.n, cells.n))
+        e[cells.rows, cells.cols] = cells.vals
+        cell_sum, dense_sum = float(np.asarray(cells.vals).sum()), float(e.sum())
+        if cell_sum == dense_sum:
+            continue
+        for total in edge_straddling_totals(cell_sum, dense_sum):
+            outcomes = []
+            for given in (cells, e):
+                try:
+                    m = JointSelectionMatrix(given, total)
+                except ValidationError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append((m.entries.tobytes(), m.min_entry, m.entry_sum, m.total))
+            assert outcomes[0] == outcomes[1]
+            straddled[outcomes[0][0] is TotalMismatchError] += 1

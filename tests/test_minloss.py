@@ -415,3 +415,29 @@ def test_optimal_never_loses_to_baselines():
             assert best <= loss(uniform_random(n), inst) + 1e-12
             assert best <= loss(random_order(inst), inst) + 1e-12
             assert best <= loss(simultaneous_renormalization(inst), inst) + 1e-12
+
+
+def test_hot_arm_matrix_and_certificate_form_no_dense_array():
+    # Growth pin: the 2N - 2 cells, the marginals and the residuals take
+    # O(N) memory and the dense-order total O(N^2 / 64); the N x N entries
+    # (8 N^2 bytes) are formed only when read.
+    n = 2048
+    inst = hot_arm_instance(np.random.default_rng(7), n)
+    tracemalloc.start()
+    try:
+        m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+        cert = kkt_verify(inst, m)
+        value = loss(m, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.valid
+    assert value == pytest.approx(min_loss_value(inst), rel=1e-9)
+    assert peak <= n * n * 8 / 16
+    first = m.entries
+    assert m.entries is first
+    assert not first.flags.writeable
+    scattered = np.zeros((n, n))
+    scattered[m.rows, m.cols] = m.vals
+    assert first.tobytes() == scattered.tobytes()
+    assert m.entry_sum == float(first.sum())

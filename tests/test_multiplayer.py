@@ -10,6 +10,7 @@ import pytest
 from jointselect import (
     DimensionMismatchError,
     Feasibility,
+    JointSelectionMatrix,
     JointTensorSparse,
     NonDistinctKeyError,
     TooFewArmsError,
@@ -241,3 +242,24 @@ def test_two_player_oracle_is_the_two_player_tuple_oracle():
 def test_multi_oracle_needs_enough_arms():
     with pytest.raises(TooFewArmsError):
         solve_multi_min_loss(validate_multi(np.full((3, 2), 0.5)))
+
+
+def test_tensor_from_matrix_holds_the_nonzero_entries_in_row_major_order():
+    # The dict the N^2 scan of the dense entries gave, order included:
+    # -0.0 entries are zeros and are left out, as is the diagonal.
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        e = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(e, 0.0)
+        e[0, 1] += 1e-3
+        e /= e.sum()
+        e[(e == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0
+        m = JointSelectionMatrix(e)
+        scanned = {
+            (i, j): float(m.entries[i, j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and m.entries[i, j] != 0.0
+        }
+        assert list(tensor_from_matrix(m).entries.items()) == list(scanned.items())
