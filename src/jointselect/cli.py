@@ -44,7 +44,6 @@ from .core import (
     sample_joint,
 )
 from .errors import (
-    CaseDispatchError,
     DegenerateProductError,
     DimensionMismatchError,
     InternalInvariantError,
@@ -75,7 +74,7 @@ def _crash_message(exc: Exception) -> str:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return json.loads(text)
 
 
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit_error("parse", str(exc))
         return 2
-    except (InternalInvariantError, CaseDispatchError) as exc:
+    except InternalInvariantError as exc:
         _emit_error(_error_kind(exc), str(exc))
         return 3
     except JointSelectError as exc:

@@ -57,6 +57,10 @@ ENTRY_CLAMP = 1e-12
 # reduced sub-instances with tiny totals do not reject honest float noise.
 SUM_RTOL = 1e-9
 
+# Weights whose sum misses the total by more than this (relative, floored
+# like SUM_RTOL), more than summation rounding, are scaled to the total.
+_RESCALE_RTOL = 1e-12
+
 # sample_joint draws its uniforms this many at a time, so its working
 # memory stays the same however many draws are asked for.
 SAMPLE_CHUNK = 1 << 18
@@ -183,7 +187,9 @@ class ProblemInstance:
     """Two players' desired selection probabilities over the same N >= 2 arms.
 
     Weights are nonnegative (tiny negatives within -1e-12 are clamped to 0)
-    and each vector sums to ``total`` within 1e-9 relative tolerance.
+    and each vector sums to ``total`` within 1e-9 relative tolerance. A
+    vector whose sum misses ``total`` by more than 1e-12 (relative) is
+    scaled to it, so both vectors sum to ``total`` up to rounding.
     ``total`` is 1 for user-facing instances; reduced sub-instances carry
     smaller totals. ``popularity`` is S = A + B, computed here.
     ``==`` and ``hash`` go by identity, as the fields are arrays.
@@ -209,10 +215,15 @@ class ProblemInstance:
             w = _clean_weights(w, "preference weights")
             if self.total < -ENTRY_CLAMP:
                 raise ValidationError(f"total must be nonnegative, got {self.total}")
-            if abs(float(w.sum()) - self.total) > _tol(self.total):
+            w_sum = float(w.sum())
+            miss = abs(w_sum - self.total)
+            if miss > _tol(self.total):
                 raise TotalMismatchError(
-                    f"weights sum to {w.sum():.17g}, declared total is {self.total:.17g}"
+                    f"weights sum to {w_sum:.17g}, declared total is {self.total:.17g}"
                 )
+            if self.total > 0.0 and w_sum > 0.0 and miss > _RESCALE_RTOL * max(1.0, self.total):
+                w = w * (self.total / w_sum)
+                w.setflags(write=False)
             object.__setattr__(self, name, w)
         s = self.a + self.b
         s.setflags(write=False)

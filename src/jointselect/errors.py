@@ -43,10 +43,6 @@ class InfeasibleTwoArmError(JointSelectError):
     """Two arms admit zero loss only when both popularities equal the total."""
 
 
-class CaseDispatchError(JointSelectError):
-    """Internal failure: no fill case applies (indicates a bug, not bad input)."""
-
-
 class NotApplicableError(JointSelectError):
     """The requested construction does not apply to this instance."""
 

@@ -49,7 +49,6 @@ from .core import (
 )
 from .errors import (
     DimensionTooLargeError,
-    InternalInvariantError,
     NotApplicableError,
     ValidationError,
 )
@@ -149,10 +148,6 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
     if s[hot] <= 1.0 + SUM_RTOL:
         raise NotApplicableError(
             f"arm {hot} has popularity {s[hot]:.17g} <= 1; use the zero-loss construction"
-        )
-    if int(np.sum(s > 1.0 + SUM_RTOL)) > 1:
-        raise InternalInvariantError(
-            "more than one arm with popularity > 1 despite unit total"
         )
     eps = (float(s[hot]) - 1.0) / (2.0 * (n - 1))
     # Row-major cells: (i, hot) for i < hot, the hot row, (i, hot) for i > hot.

@@ -134,6 +134,41 @@ def test_internal_invariant_failure_exits_three(capsys, table1_file, monkeypatch
     assert stderr_error(err)["error"] == "internal-invariant"
 
 
+# Weights with 9 decimals whose sums miss 1 by up to 1e-9: accepted by
+# validation, so they must build. The second is a hot-arm instance.
+NEAR_TOTAL = [
+    ([0.229154689, 0.548831661, 0.159242701, 0.062770949],
+     [0.225328032, 0.331141041, 0.392764895, 0.050766031]),
+    ([0.027847941, 0.028616662, 0.830704103, 0.112831294],
+     [0.027847942, 0.028616662, 0.830704103, 0.112831294]),
+    ([0.559158914, 0.18308551, 0.067827841, 0.189927736],
+     [0.020710219, 0.496908692, 0.472989269, 0.00939182]),
+]
+
+
+@pytest.mark.parametrize("a, b", NEAR_TOTAL)
+def test_construct_builds_weights_whose_sums_are_off_within_tolerance(capsys, tmp_path, a, b):
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"a": a, "b": b}))
+    code, out, _ = run(capsys, "construct", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    entries = np.array(payload["entries"]).reshape(4, 4)
+    pi_a, pi_b = entries.sum(axis=1), entries.sum(axis=0)
+    if payload["branch"] == "zero-loss":
+        assert np.abs(pi_a - a).max() <= 1e-9
+        assert np.abs(pi_b - b).max() <= 1e-9
+    else:
+        # the hot-arm answer gives every other arm its weight plus eps
+        s = np.add(a, b)
+        hot = int(np.argmax(s))
+        eps = (s[hot] - 1.0) / 6.0
+        cold = np.arange(4) != hot
+        assert np.abs(pi_a - a - eps)[cold].max() <= 1e-9
+        assert np.abs(pi_b - b - eps)[cold].max() <= 1e-9
+        assert abs(entries.sum() - 1.0) <= 1e-9
+
+
 # --------------------------------------------------------------------------
 # baseline
 # --------------------------------------------------------------------------

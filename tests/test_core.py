@@ -28,6 +28,8 @@ from jointselect import (
     matrix_to_csv,
     matrix_to_json,
     min_loss_matrix,
+    min_loss_value,
+    optimal_satisfaction_matrix,
     sample_joint,
     satisfied_preferences,
     uniform_random,
@@ -113,6 +115,45 @@ def test_popularity_is_sum_and_totals_double(raw_a, raw_b):
     inst = validate_instance(a, b)
     np.testing.assert_allclose(inst.popularity, a + b, rtol=0, atol=1e-15)
     assert abs(float(inst.popularity.sum()) - 2.0) <= 1e-9
+
+
+def test_validate_instance_scales_a_sum_that_is_off_within_the_tolerance():
+    inst = validate_instance(np.array([0.2, 0.3, 0.5]) * (1 + 6e-10), [0.2, 0.3, 0.5])
+    assert abs(float(inst.a.sum()) - 1.0) <= 4e-16
+    np.testing.assert_allclose(inst.a, [0.2, 0.3, 0.5], rtol=1e-15, atol=0)
+    assert not inst.a.flags.writeable
+    inst = validate_instance([0.1, 0.2], [0.15, 0.15 + 1e-10], total=0.3)
+    assert abs(float(inst.b.sum()) - 0.3) <= 1e-16
+
+
+def test_validate_instance_keeps_a_sum_off_by_rounding_only():
+    a = [0.1, 0.2, 0.3, 0.4 - 5e-13]
+    inst = validate_instance(a, a[::-1])
+    np.testing.assert_array_equal(inst.a, a)
+    np.testing.assert_array_equal(inst.b, a[::-1])
+    # all-zero weights cannot be scaled to a total that is within tolerance of 0
+    np.testing.assert_array_equal(validate_instance([0.0, 0.0], [0.0, 0.0], 5e-10).a, 0.0)
+
+
+def test_weights_rounded_to_nine_decimals_build_when_accepted():
+    rng = np.random.default_rng(808)
+    accepted = 0
+    for _ in range(1500):
+        n = int(rng.integers(4, 60))
+        a = np.round(rng.dirichlet(np.ones(n)), 9)
+        b = np.round(rng.dirichlet(np.ones(n)), 9)
+        try:
+            inst = validate_instance(a, b)
+        except TotalMismatchError:
+            continue
+        accepted += 1
+        result = optimal_satisfaction_matrix(inst)
+        if result.branch == "zero-loss":
+            pi_a, pi_b = result.matrix.marginals
+            assert np.abs(pi_a - a).max() <= 1e-9 and np.abs(pi_b - b).max() <= 1e-9
+        else:
+            assert result.loss == pytest.approx(min_loss_value(inst), rel=1e-9)
+    assert accepted >= 250
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import jointselect.zeroloss as zeroloss
 from jointselect import (
     InfeasibleTwoArmError,
     InternalInvariantError,
+    JointSelectError,
     PopularityExceedsTotalError,
     ValidationError,
     base_case_interval,
@@ -309,3 +310,67 @@ def test_construct_identical_uniform_preferences():
         a = np.full(n, 1.0 / n)
         inst = validate_instance(a, a)
         assert loss(construct_zero_loss(inst), inst) <= n * 1e-15
+
+
+# --------------------------------------------------------------------------
+# the check on the finished answer
+# --------------------------------------------------------------------------
+
+def edit_fills(monkeypatch, edit):
+    """Pass the peel's fills through ``edit(p, row, col)``, p counting from 0."""
+    real = zeroloss._fill_cells
+    count = itertools.count()
+
+    def edited(*args):
+        case, cut, row, col = real(*args)
+        row, col = edit(next(count), list(row), list(col))
+        return case, cut, row, col
+
+    monkeypatch.setattr(zeroloss, "_fill_cells", edited)
+
+
+def move(amounts):
+    """At fill p, move ``amounts[p]`` from the first column cell to the first row cell."""
+
+    def edit(p, row, col):
+        d = amounts.get(p, 0.0)
+        (j, x), (i, y) = row[0], col[0]
+        row[0], col[0] = (j, x + d), (i, y - d)
+        return row, col
+
+    return edit
+
+
+def first_row_cell(value):
+    """At the first fill, replace the first row cell's value x with ``value(x)``."""
+
+    def edit(p, row, col):
+        if p == 0:
+            row[0] = (row[0][0], value(row[0][1]))
+        return row, col
+
+    return edit
+
+
+# Both of its peels are case 1 fills, which leave every weight they touch
+# above 1e-6, so a shift of 1e-6 clamps nothing.
+FIVE_ARMS = ([0.1, 0.2, 0.3, 0.2, 0.2], [0.15, 0.2, 0.2, 0.25, 0.2])
+
+
+def test_final_check_catches_marginals_that_no_sum_shows(monkeypatch):
+    # Moving 1e-6 from K's column to K's row at one peel and back at the
+    # next keeps the total and both players' weight sums, not the marginals.
+    edit_fills(monkeypatch, move({0: 1e-6, 1: -1e-6}))
+    with pytest.raises(InternalInvariantError, match="assembled marginals miss"):
+        construct_zero_loss(validate_instance(*FIVE_ARMS))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [lambda x: x + 1e-6, lambda x: x - 1e-6, lambda x: -1e-6],
+    ids=["up", "down", "negative"],
+)
+def test_a_skewed_or_negative_cell_is_caught_at_the_boundary(monkeypatch, value):
+    edit_fills(monkeypatch, first_row_cell(value))
+    with pytest.raises(JointSelectError):
+        construct_zero_loss(validate_instance(*FIVE_ARMS))
