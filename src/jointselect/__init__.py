@@ -7,143 +7,107 @@ matrix that satisfies both sets of preferences exactly whenever that is
 possible (no arm's combined popularity exceeds the total), and the
 provably loss-minimal matrix when it is not; reference baselines, an
 independent convex-QP oracle, a benchmark sweep, and a CLI round it out.
+
+Names load on first use (PEP 562): ``import jointselect`` imports no
+submodule, and reading ``jointselect.min_loss_matrix`` first imports
+``minloss``. So a command-line process loads only what its command uses.
 """
 
-from .baselines import (
-    random_order,
-    random_order_degeneracies,
-    simultaneous_renormalization,
-    uniform_random,
-)
-from .bench import (
-    FAMILIES,
-    FULL_RANGE,
-    METHODS,
-    BenchmarkRecord,
-    preference_family,
-    run_benchmark,
-    summary_table,
-    write_csv,
-)
-from .core import (
-    JointSelectionMatrix,
-    ProblemInstance,
-    instance_from_json,
-    instance_to_json,
-    loss,
-    loss_gradient,
-    matrix_from_json,
-    matrix_to_csv,
-    matrix_to_json,
-    sample_joint,
-    satisfied_preferences,
-    validate_instance,
-)
-from .errors import (
-    DegenerateProductError,
-    DimensionMismatchError,
-    InfeasibleTwoArmError,
-    InternalInvariantError,
-    InvalidArmCountError,
-    JointSelectError,
-    LengthMismatchError,
-    NegativeWeightError,
-    NonDistinctKeyError,
-    NotApplicableError,
-    PopularityExceedsTotalError,
-    TooFewArmsError,
-    TotalMismatchError,
-    TotalNotOneError,
-    ValidationError,
-)
-from .minloss import (
-    convexity_check,
-    kkt_verify,
-    loss_hessian,
-    min_loss_matrix,
-    min_loss_value,
-    optimal_satisfaction_matrix,
-)
-from .multiplayer import (
-    Feasibility,
-    JointTensorSparse,
-    feasibility_verdict,
-    multi_loss,
-    solve_multi_min_loss,
-    tensor_from_matrix,
-    tensor_marginals,
-    validate_multi,
-)
-from .oracle import project_simplex, solve_min_loss
-from .zeroloss import (
-    base_case_interval,
-    base_case_three,
-    construct_zero_loss,
-    fill_row_col,
-    reduce_instance,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchmarkRecord",
-    "DegenerateProductError",
-    "DimensionMismatchError",
-    "FAMILIES",
-    "FULL_RANGE",
-    "Feasibility",
-    "InfeasibleTwoArmError",
-    "InternalInvariantError",
-    "InvalidArmCountError",
-    "JointSelectError",
-    "JointSelectionMatrix",
-    "JointTensorSparse",
-    "LengthMismatchError",
-    "METHODS",
-    "NegativeWeightError",
-    "NonDistinctKeyError",
-    "NotApplicableError",
-    "PopularityExceedsTotalError",
-    "ProblemInstance",
-    "TooFewArmsError",
-    "TotalMismatchError",
-    "TotalNotOneError",
-    "ValidationError",
-    "base_case_interval",
-    "base_case_three",
-    "construct_zero_loss",
-    "convexity_check",
-    "feasibility_verdict",
-    "fill_row_col",
-    "instance_from_json",
-    "instance_to_json",
-    "kkt_verify",
-    "loss",
-    "loss_gradient",
-    "loss_hessian",
-    "matrix_from_json",
-    "matrix_to_csv",
-    "matrix_to_json",
-    "min_loss_matrix",
-    "min_loss_value",
-    "multi_loss",
-    "optimal_satisfaction_matrix",
-    "preference_family",
-    "project_simplex",
-    "random_order",
-    "random_order_degeneracies",
-    "reduce_instance",
-    "run_benchmark",
-    "sample_joint",
-    "satisfied_preferences",
-    "simultaneous_renormalization",
-    "solve_min_loss",
-    "solve_multi_min_loss",
-    "summary_table",
-    "tensor_from_matrix",
-    "tensor_marginals",
-    "uniform_random",
-    "validate_instance",
-    "validate_multi",
-    "write_csv",
-]
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "baselines": (
+        "random_order",
+        "random_order_degeneracies",
+        "simultaneous_renormalization",
+        "uniform_random",
+    ),
+    "bench": (
+        "FAMILIES",
+        "FULL_RANGE",
+        "METHODS",
+        "BenchmarkRecord",
+        "preference_family",
+        "run_benchmark",
+        "summary_table",
+        "write_csv",
+    ),
+    "core": (
+        "JointSelectionMatrix",
+        "ProblemInstance",
+        "instance_from_json",
+        "instance_to_json",
+        "loss",
+        "loss_gradient",
+        "matrix_from_json",
+        "matrix_to_csv",
+        "matrix_to_json",
+        "sample_joint",
+        "satisfied_preferences",
+        "validate_instance",
+    ),
+    "errors": (
+        "DegenerateProductError",
+        "DimensionMismatchError",
+        "InfeasibleTwoArmError",
+        "InternalInvariantError",
+        "InvalidArmCountError",
+        "JointSelectError",
+        "LengthMismatchError",
+        "NegativeWeightError",
+        "NonDistinctKeyError",
+        "NotApplicableError",
+        "PopularityExceedsTotalError",
+        "TooFewArmsError",
+        "TotalMismatchError",
+        "TotalNotOneError",
+        "ValidationError",
+    ),
+    "minloss": (
+        "convexity_check",
+        "kkt_verify",
+        "loss_hessian",
+        "min_loss_matrix",
+        "min_loss_value",
+        "optimal_satisfaction_matrix",
+    ),
+    "multiplayer": (
+        "Feasibility",
+        "JointTensorSparse",
+        "feasibility_verdict",
+        "multi_loss",
+        "solve_multi_min_loss",
+        "tensor_from_matrix",
+        "tensor_marginals",
+        "validate_multi",
+    ),
+    "oracle": ("project_simplex", "solve_min_loss"),
+    "zeroloss": (
+        "base_case_interval",
+        "base_case_three",
+        "construct_zero_loss",
+        "fill_row_col",
+        "reduce_instance",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF, *_EXPORTS})

@@ -20,22 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    random_order,
-    random_order_degeneracies,
-    simultaneous_renormalization,
-    uniform_random,
-)
-from .bench import (
-    FAMILIES,
-    FULL_RANGE,
-    METHODS,
-    run_benchmark,
-    summary_table,
-    write_csv,
-)
 from .core import (
     dumps,
+    given_loss,
     instance_from_json,
     loss,
     matrix_from_json,
@@ -51,8 +38,10 @@ from .errors import (
     ValidationError,
 )
 from .minloss import convexity_check, kkt_verify, min_loss_matrix, optimal_satisfaction_matrix
-from .multiplayer import feasibility_verdict, validate_multi
 from .oracle import solve_min_loss
+
+# baselines, bench and multiplayer are imported by the commands that use
+# them, so that the other commands do not pay for loading them.
 
 
 def _error_kind(exc: Exception) -> str:
@@ -111,9 +100,11 @@ def cmd_construct(args) -> int:
             f"{float(inst.popularity.max()):.17g} > 1",
         )
         return 1
+    # the loss against the input as given, not as the instance scaled it
+    reported = given_loss(result.matrix, inst)
     payload = {
         **matrix_to_json(result.matrix),
-        "loss": result.loss,
+        "loss": reported,
         "popularity": inst.popularity.tolist(),
         "branch": result.branch,
     }
@@ -123,7 +114,7 @@ def cmd_construct(args) -> int:
         else:
             fh.write(matrix_to_csv(result.matrix))
             print(
-                f"loss={result.loss:.17g} branch={result.branch} "
+                f"loss={reported:.17g} branch={result.branch} "
                 f"popularity={','.join(f'{s:.17g}' for s in inst.popularity)}",
                 file=sys.stderr,
             )
@@ -131,6 +122,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baselines import (
+        random_order,
+        random_order_degeneracies,
+        simultaneous_renormalization,
+        uniform_random,
+    )
+
     inst = instance_from_json(_read_json(args.input))
     fallback = False
     degenerate: tuple = ()
@@ -181,13 +179,17 @@ def _csv_list(raw: str, allowed: tuple[str, ...], what: str) -> list[str]:
 
 
 def cmd_bench(args) -> int:
-    families = _csv_list(args.families, FAMILIES, "family")
-    methods = _csv_list(args.methods, METHODS, "method")
-    if args.n_min < 3:
-        raise ValidationError(f"--n-min must be >= 3, got {args.n_min}")
-    if args.n_max < args.n_min:
+    from .bench import FAMILIES, FULL_RANGE, METHODS, run_benchmark, summary_table, write_csv
+
+    families = FAMILIES if args.families is None else _csv_list(args.families, FAMILIES, "family")
+    methods = METHODS if args.methods is None else _csv_list(args.methods, METHODS, "method")
+    n_min = FULL_RANGE.start if args.n_min is None else args.n_min
+    n_max = FULL_RANGE.stop - 1 if args.n_max is None else args.n_max
+    if n_min < 3:
+        raise ValidationError(f"--n-min must be >= 3, got {n_min}")
+    if n_max < n_min:
         raise ValidationError("--n-max must be >= --n-min")
-    records = run_benchmark(families, range(args.n_min, args.n_max + 1), methods)
+    records = run_benchmark(families, range(n_min, n_max + 1), methods)
     with _output(args) as fh:
         if args.format == "csv":
             write_csv(records, fh)
@@ -281,6 +283,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    from .multiplayer import feasibility_verdict, validate_multi
+
     obj = _read_json(args.input)
     if not isinstance(obj, dict) or "players" not in obj:
         raise ValidationError('feasibility input must be a JSON object with "players"')
@@ -340,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baseline)
 
     p = subs.add_parser("bench", help="loss-comparison sweep over the four families")
-    p.add_argument("--families", default=",".join(FAMILIES))
-    p.add_argument("--methods", default=",".join(METHODS))
-    p.add_argument("--n-min", type=int, default=FULL_RANGE.start)
-    p.add_argument("--n-max", type=int, default=FULL_RANGE.stop - 1)
+    # None stands for bench's own defaults, which cmd_bench fills in
+    p.add_argument("--families", default=None)
+    p.add_argument("--methods", default=None)
+    p.add_argument("--n-min", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None)
     _add_common(p, default_format="csv")
     p.set_defaults(func=cmd_bench)
 

@@ -63,7 +63,11 @@ _RESCALE_RTOL = 1e-12
 
 # sample_joint draws its uniforms this many at a time, so its working
 # memory stays the same however many draws are asked for.
-SAMPLE_CHUNK = 1 << 18
+SAMPLE_CHUNK = 1 << 16
+
+# The fewest buckets of sample_joint's guide table. The table grows to at
+# least 8 buckets per cell, so that at most one draw in 8 needs a search.
+_MIN_BUCKETS = 1 << 12
 
 _DIAGONAL_ERROR = "diagonal entries must be exactly 0 (conflict-freedom)"
 
@@ -191,7 +195,9 @@ class ProblemInstance:
     vector whose sum misses ``total`` by more than 1e-12 (relative) is
     scaled to it, so both vectors sum to ``total`` up to rounding.
     ``total`` is 1 for user-facing instances; reduced sub-instances carry
-    smaller totals. ``popularity`` is S = A + B, computed here.
+    smaller totals. ``popularity`` is S = A + B, computed here. ``given``
+    is (a, b) as given, after the clamp and before any scaling: the same
+    arrays as ``a`` and ``b`` when neither was scaled.
     ``==`` and ``hash`` go by identity, as the fields are arrays.
     """
 
@@ -199,6 +205,7 @@ class ProblemInstance:
     b: Vec
     total: float = 1.0
     popularity: Vec = field(init=False)
+    given: tuple[Vec, Vec] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=np.float64)
@@ -211,8 +218,10 @@ class ProblemInstance:
             )
         if a.size < 2:
             raise ValidationError(f"preference weights needs at least 2 arms, got {a.size}")
+        given = []
         for name, w in (("a", a), ("b", b)):
             w = _clean_weights(w, "preference weights")
+            given.append(w)
             if self.total < -ENTRY_CLAMP:
                 raise ValidationError(f"total must be nonnegative, got {self.total}")
             w_sum = float(w.sum())
@@ -229,6 +238,7 @@ class ProblemInstance:
         s.setflags(write=False)
         object.__setattr__(self, "total", float(self.total))
         object.__setattr__(self, "popularity", s)
+        object.__setattr__(self, "given", tuple(given))
 
     @property
     def n(self) -> int:
@@ -512,9 +522,22 @@ def loss(m: JointSelectionMatrix, inst: ProblemInstance) -> float:
     exactly when the matrix reproduces both preference vectors.
     """
     _check_dims(m, inst)
+    return _squared_miss(m, inst.a, inst.b)
+
+
+def given_loss(m: JointSelectionMatrix, inst: ProblemInstance) -> float:
+    """The loss against the weights as given, before the instance scaled them.
+
+    Equal to ``loss(m, inst)`` bit for bit when no weight vector was scaled.
+    """
+    _check_dims(m, inst)
+    return _squared_miss(m, *inst.given)
+
+
+def _squared_miss(m: JointSelectionMatrix, a: Vec, b: Vec) -> float:
     pi_a, pi_b = m.marginals
-    ga = pi_a - inst.a
-    gb = pi_b - inst.b
+    ga = pi_a - a
+    gb = pi_b - b
     return float(ga @ ga + gb @ gb)
 
 
@@ -540,6 +563,24 @@ def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
     return g
 
 
+def _guide_table(cdf: Vec) -> tuple[int, NDArray[np.intp], NDArray[np.bool_]]:
+    """Chen and Asau's guide table for inverse-CDF search over ``cdf``.
+
+    [0, 1) is split into B buckets, B a power of two with at least
+    _MIN_BUCKETS buckets and 8 per cell. ``first[k]`` is the index a
+    right-sided search gives at k / B. The index is monotone in u, and no
+    u in [k / B, (k + 1) / B) can pass a cdf value that is >= (k + 1) / B,
+    so bucket k is clean (every u in it has index ``first[k]``) unless a
+    cdf value falls strictly inside it; then ``mixed[k]`` is set. k / B is
+    exact, B being a power of two.
+    """
+    buckets = max(_MIN_BUCKETS, 1 << (8 * cdf.size - 1).bit_length())
+    edges = np.arange(buckets + 1) / buckets
+    first = np.searchsorted(cdf, edges[:-1], side="right")
+    mixed = first != np.searchsorted(cdf, edges[1:], side="left")
+    return buckets, first, mixed
+
+
 def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.int64]:
     """Draw arm pairs from the matrix; returns an N x N count matrix.
 
@@ -548,11 +589,16 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     generator, so identical (matrix, seed, draws) triples reproduce
     identical counts. Leaving out the zero cells changes no count: the
     cumulative sum adds them exactly, and a right-sided search never lands
-    on a cell of zero weight. Uniforms are drawn SAMPLE_CHUNK at a time,
-    which continues the same stream, so the counts equal a one-shot draw
-    while the working memory stays O(cells + SAMPLE_CHUNK) besides the
-    N x N result. Requires a unit total; the diagonal of the result is
-    always 0.
+    on a cell of zero weight. The search goes through a guide table
+    (`_guide_table`; Devroye, Non-Uniform Random Variate Generation,
+    III.2.4): a draw u in a clean bucket takes its bucket's cell, and only
+    draws in mixed buckets are searched, so every draw gets the index a
+    full search gives. Scaling u by the power-of-two bucket count is
+    exact, so its floor is the bucket and dividing back restores u.
+    Uniforms are drawn SAMPLE_CHUNK at a time, which continues the same
+    stream, so the counts equal a one-shot draw while the working memory
+    stays O(cells + buckets + SAMPLE_CHUNK) besides the N x N result.
+    Requires a unit total; the diagonal of the result is always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
@@ -560,11 +606,22 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     n = m.n
     cdf = np.cumsum(m.vals)
     cdf /= cdf[-1]
+    buckets, first, mixed = _guide_table(cdf)
     rng = np.random.default_rng(seed)
     picked = np.zeros(cdf.size, dtype=np.int64)
+    hits = np.zeros(buckets, dtype=np.int64)
     for start in range(0, draws, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, draws - start))
+        u *= buckets
+        bucket = u.astype(np.intp)
+        hits += np.bincount(bucket, minlength=buckets)
+        u = u[mixed[bucket]]
+        del bucket  # so that two chunks' bucket arrays are never held at once
+        u /= buckets
         picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
+    clean = ~mixed
+    # float sums of counts are exact integers below 2**53 draws
+    picked += np.bincount(first[clean], hits[clean], cdf.size).astype(np.int64)
     counts = np.zeros((n, n), dtype=np.int64)
     counts[m.rows, m.cols] = picked
     return counts

@@ -169,6 +169,29 @@ def test_construct_builds_weights_whose_sums_are_off_within_tolerance(capsys, tm
         assert abs(entries.sum() - 1.0) <= 1e-9
 
 
+def test_construct_reports_its_loss_against_the_weights_as_given(capsys, tmp_path):
+    # b sums to 0.999999999, so the instance scales it to 1. The answer
+    # meets the scaled b to rounding (loss ~1e-32); construct reports the
+    # loss against b as given, and verify --oracle keeps comparing both of
+    # its losses on the one scaled instance.
+    a, b = NEAR_TOTAL[0]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"a": a, "b": b}))
+    code, out, _ = run(capsys, "construct", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    pi_a, pi_b = matrix_from_json(payload).marginals
+    given = float(np.sum((pi_a - a) ** 2) + np.sum((pi_b - b) ** 2))
+    assert payload["loss"] == pytest.approx(given, rel=1e-9, abs=0)
+    assert payload["loss"] == pytest.approx(3.17e-19, rel=1e-2, abs=0)
+    code, _, err = run(capsys, "construct", str(path), "--format", "csv")
+    assert code == 0
+    assert f"loss={payload['loss']:.17g} " in err
+    code, out, _ = run(capsys, "verify", str(path), "--oracle")
+    assert code == 0
+    assert json.loads(out)["oracle"]["constructive_loss"] <= 1e-30
+
+
 # --------------------------------------------------------------------------
 # baseline
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -516,9 +517,27 @@ def sparse_matrices():
     for n in (4, 9, 33):
         yield construct_zero_loss(random_feasible_instance(rng, n))
     yield construct_zero_loss(validate_instance([0.5, 0.0, 0.25, 0.25], [0.0, 0.5, 0.25, 0.25]))
+    yield dyadic_matrix(rng, 9)  # every cdf value on an edge of the 2**12 buckets
+    yield JointSelectionMatrix(random_off_diagonal(rng, 40))  # 1,560 cells: 2**14 buckets
 
 
-@pytest.mark.parametrize("draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1])
+def random_off_diagonal(rng, n: int) -> np.ndarray:
+    e = rng.random((n, n))
+    np.fill_diagonal(e, 0.0)
+    return e / e.sum()
+
+
+def dyadic_matrix(rng, n: int) -> JointSelectionMatrix:
+    """Cells that are multiples of 2**-12 on a random support, summing to 1 exactly."""
+    off = ~np.eye(n, dtype=bool)
+    p = rng.random(n * n - n) * (rng.random(n * n - n) < 0.5)
+    p[0] += 1.0
+    e = np.zeros((n, n))
+    e[off] = rng.multinomial(1 << 12, p / p.sum()) / (1 << 12)
+    return JointSelectionMatrix(e)
+
+
+@pytest.mark.parametrize("draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5])
 def test_sample_joint_over_the_support_matches_the_full_formula(draws):
     for k, m in enumerate(sparse_matrices()):
         np.testing.assert_array_equal(
@@ -539,6 +558,33 @@ def test_sample_joint_matches_the_full_formula_on_random_sparse_matrices():
         np.testing.assert_array_equal(
             sample_joint(m, seed=k, draws=2000), full_off_diagonal_counts(m, k, 2000)
         )
+    # dyadic cells, whose cdf values fall on bucket edges, and matrices of
+    # 552 to 1,560 cells, whose guide tables grow past 2**12 buckets
+    for k in range(300, 340):
+        if k % 2:
+            m = dyadic_matrix(rng, int(rng.integers(2, 23)))
+        else:
+            m = JointSelectionMatrix(random_off_diagonal(rng, int(rng.integers(24, 41))))
+        np.testing.assert_array_equal(
+            sample_joint(m, seed=k, draws=2000), full_off_diagonal_counts(m, k, 2000)
+        )
+
+
+def test_sample_joint_memory_does_not_grow_with_draws():
+    # Uniforms come SAMPLE_CHUNK at a time and the guide table is O(cells),
+    # so a million draws peak no higher than a hundred thousand.
+    m = construct_zero_loss(random_feasible_instance(np.random.default_rng(47), 48))
+    peaks = []
+    for draws in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            sample_joint(m, seed=5, draws=draws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= 2_000_000
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_sample_joint_rejects_bad_arguments():
