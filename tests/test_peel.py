@@ -258,3 +258,58 @@ def test_one_validation_and_one_matrix_beyond_the_input(monkeypatch):
     construct_zero_loss(inst)
     assert calls["validate"] <= 2
     assert calls["matrix"] <= 2
+
+
+# --------------------------------------------------------------------------
+# frozen answers at large N
+# --------------------------------------------------------------------------
+
+def large_dirichlet(rng, n):
+    return dirichlet_within(rng, n, 1.0)
+
+
+def large_zero_block(rng, n):
+    """A tenth of the arms, in one block, wanted by nobody."""
+    m = n // 10
+    a, b = dirichlet_within(rng, n - m, 1.0)
+    start = int(rng.integers(0, n - m + 1))
+    return np.insert(a, start, np.zeros(m)), np.insert(b, start, np.zeros(m))
+
+
+def large_tied(rng, n):
+    """Every popularity is 2/N up to rounding."""
+    d = rng.uniform(-0.9, 0.9, n // 2)
+    d = rng.permutation(np.concatenate([d, -d, np.zeros(n % 2)]))
+    return (1.0 + d) / n, (1.0 - d) / n
+
+
+LARGE = {"dirichlet": large_dirichlet, "zero_block": large_zero_block, "tied": large_tied}
+
+# sha256 of the cells' rows and cols (as int64) and vals + 0.0, in order.
+FROZEN_CELLS = {
+    ("dirichlet", 2000): "d347fcb328a305c30ac8445a64d5107e3bf4fe0406fc982e20178c0ecb7d1813",
+    ("dirichlet", 10_000): "6f3cdc52c2313bd37c2d0a184d8ef963aa8b8159847a64a1895f792065936774",
+    ("tied", 2000): "a69cd1f8034ed0fa4db98d419f609e3b47b026c56cd73d976366444b993790f5",
+    ("tied", 10_000): "de36039f7efa5f659808f5eef9a17f19e32207a2c596af24326a2d39d7915344",
+    ("zero_block", 2000): "5ef424d80009c48b1faed2c46819b353161a965fc2d202568368f8b9ce8af829",
+    ("zero_block", 10_000): "f82c47ca4af3ac51562dbd22dd2c45e60fe12364596f2789a14584096eaea2da",
+}
+
+
+def cells_digest(m) -> str:
+    h = hashlib.sha256()
+    for x in (m.rows.astype(np.int64), m.cols.astype(np.int64), m.vals + 0.0):
+        h.update(x.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("kind", sorted(LARGE))
+def test_large_n_answers_match_frozen_cells(kind, n):
+    inst = validate_instance(*LARGE[kind](np.random.default_rng(20228 + n), n))
+    m = construct_zero_loss(inst)
+    assert cells_digest(m) == FROZEN_CELLS[kind, n]
+    assert int(np.count_nonzero(m.vals > 1e-12)) <= 2 * n - 1
+    pi_a, pi_b = m.marginals
+    assert np.abs(pi_a - inst.a).max() <= 1e-9
+    assert np.abs(pi_b - inst.b).max() <= 1e-9
