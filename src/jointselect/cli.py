@@ -41,7 +41,9 @@ from .minloss import convexity_check, kkt_verify, min_loss_matrix, optimal_satis
 from .oracle import solve_min_loss
 
 # baselines, bench and multiplayer are imported by the commands that use
-# them, so that the other commands do not pay for loading them.
+# them, so that the other commands do not pay for loading them. `loss` is
+# not called here, but it stays a module attribute: perfbench/tracer.py
+# rebinds it to trace core.loss.
 
 
 def _error_kind(exc: Exception) -> str:
@@ -148,7 +150,7 @@ def cmd_baseline(args) -> int:
     payload = {
         **matrix_to_json(m),
         "method": args.method,
-        "loss": loss(m, inst),
+        "loss": given_loss(m, inst),
     }
     if fallback:
         payload["fallback"] = "uniform"

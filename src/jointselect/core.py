@@ -177,6 +177,20 @@ def _clean_weights(w: NDArray[np.float64], what: str) -> Vec:
     return w
 
 
+def _rescale(w_sum: float, total: float) -> float | None:
+    """The factor that scales weights summing to ``w_sum`` to ``total``.
+
+    None when the sum is within _RESCALE_RTOL of the total (or either is
+    0); TotalMismatchError when it misses by more than SUM_RTOL.
+    """
+    miss = abs(w_sum - total)
+    if miss > _tol(total):
+        raise TotalMismatchError(f"weights sum to {w_sum:.17g}, declared total is {total:.17g}")
+    if total > 0.0 and w_sum > 0.0 and miss > _RESCALE_RTOL * max(1.0, total):
+        return total / w_sum
+    return None
+
+
 def _require_unit_total(total: float, what: str) -> None:
     if abs(total - 1.0) > SUM_RTOL:
         raise TotalNotOneError(f"{what} needs total = 1, got {total:.17g}")
@@ -224,14 +238,9 @@ class ProblemInstance:
             given.append(w)
             if self.total < -ENTRY_CLAMP:
                 raise ValidationError(f"total must be nonnegative, got {self.total}")
-            w_sum = float(w.sum())
-            miss = abs(w_sum - self.total)
-            if miss > _tol(self.total):
-                raise TotalMismatchError(
-                    f"weights sum to {w_sum:.17g}, declared total is {self.total:.17g}"
-                )
-            if self.total > 0.0 and w_sum > 0.0 and miss > _RESCALE_RTOL * max(1.0, self.total):
-                w = w * (self.total / w_sum)
+            scale = _rescale(float(w.sum()), self.total)
+            if scale is not None:
+                w = w * scale
                 w.setflags(write=False)
             object.__setattr__(self, name, w)
         s = self.a + self.b

@@ -8,16 +8,20 @@ at an explicit three-arm solution. Two arms are handled as a direct input
 case only (the peel never goes below three).
 
 `construct_zero_loss` runs that induction as one flat loop over the
-original arm indices. Heaps keyed (S_i, i) and (-S_i, i), with stale
-entries dropped when they surface, pick K and V with ties going to the
-lowest index. Each peel writes one row and one column of (i, j, value)
-cells and updates only the weights and popularities of the arms it
-touched, so an N-arm instance costs O(N log N). The result is a basic
-feasible solution of a transportation problem: at most 2N - 1 nonzero
-entries, beyond float dust. The peeled cells and the six off-diagonal
-entries of the three-arm block are sorted into row-major order and
-handed to `JointSelectionMatrix` as cells, and no N x N array is formed
-until its entries are read.
+original arm indices, on Python floats and ints. Heaps keyed (S_i, i)
+and (-S_i, i), with stale entries dropped when they surface, pick K and
+V with ties going to the lowest index. Each peel writes one row and one
+column of cells, as flat keys i * N + j beside their values, takes each
+value off the weight it fills in the same pass, and updates only the
+popularities of the arms it touched, so an N-arm instance costs
+O(N log N). The result is a basic feasible solution of a transportation
+problem: at most 2N - 1 nonzero entries, beyond float dust. The last
+three arms' block is solved from their six weights, with the checks and
+scaling an instance of them would get but without building one, so a
+call validates only the instance it is given. The peeled cells and the
+six off-diagonal entries of that block are sorted once, by key, into
+row-major order and handed to `JointSelectionMatrix` as cells, and no
+N x N array is formed until its entries are read.
 
 The induction is its own witness, so the loop re-checks none of its
 steps: feasibility is checked once before it, and the answer once, as a
@@ -58,6 +62,7 @@ from .core import (
     JointSelectionMatrix,
     ProblemInstance,
     Vec,
+    _rescale,
     _tol,
     validate_instance,
 )
@@ -97,7 +102,11 @@ def base_case_interval(inst: ProblemInstance) -> tuple[float, float]:
     """Feasible range of the free entry P[0, 1] in the three-arm solution."""
     if inst.n != 3:
         raise ValidationError(f"three-arm interval needs N=3, got {inst.n}")
-    a, b, t = inst.a, inst.b, inst.total
+    return _interval(inst.a, inst.b, inst.total)
+
+
+def _interval(a, b, t: float) -> tuple[float, float]:
+    """base_case_interval on the three weights of each player."""
     lo = max(0.0, a[0] - b[2], b[1] - a[2])
     hi = min(a[0], b[1], t - a[2] - b[2])
     return lo, hi
@@ -108,21 +117,35 @@ _BASE_ROWS = (0, 0, 1, 1, 2, 2)
 _BASE_COLS = (1, 2, 0, 2, 0, 1)
 
 
-def _base_values(inst: ProblemInstance) -> list[float]:
-    """The three-arm solution's entries at _BASE_ROWS, _BASE_COLS."""
-    _require_feasible(float(inst.popularity.max()), inst.total)
-    a, b, t = inst.a, inst.b, inst.total
-    p, _ = base_case_interval(inst)
+def _base_values(a: list, b: list, t: float) -> list[float]:
+    """The three-arm solution's entries at _BASE_ROWS, _BASE_COLS.
+
+    ``a`` and ``b`` are the three weights of each player, already checked
+    and scaled to ``t`` as ProblemInstance does.
+    """
+    _require_feasible(max(a[0] + b[0], a[1] + b[1], a[2] + b[2]), t)
+    p, _ = _interval(a, b, t)
     vals = [p, a[0] - p, t - p - a[2] - b[2], p - a[0] + b[2], p + a[2] - b[1], b[1] - p]
     # cancellation can leave -1e-17-ish dust on entries that are exactly 0
-    return [0.0 if x < 0.0 else float(x) for x in vals]
+    return [0.0 if x < 0.0 else x for x in vals]
+
+
+def _base_weights(w: list, total: float) -> list:
+    """ProblemInstance's sum check and scaling, on the three live weights of a player.
+
+    The peel keeps weights nonnegative and the total positive, and numpy
+    sums three values one by one from +0.0, so the sum and the scaled
+    weights have the bits an instance built from them would have.
+    """
+    scale = _rescale(w[0] + w[1] + w[2], total)
+    return w if scale is None else [x * scale for x in w]
 
 
 def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     """Explicit zero-loss matrix for three arms, free entry at its lower bound."""
     if inst.n != 3:
         raise ValidationError(f"base case needs N=3, got {inst.n}")
-    vals = _base_values(inst)
+    vals = _base_values(inst.a.tolist(), inst.b.tolist(), inst.total)
     return JointSelectionMatrix(Cells(3, _BASE_ROWS, _BASE_COLS, vals), inst.total)
 
 
@@ -224,30 +247,6 @@ def reduce_instance(inst: ProblemInstance, fill: RowColFill) -> ProblemInstance:
     return reduced
 
 
-def _take(w: list, cells) -> None:
-    """Subtract the cells from the weights in place, clamping at 0.
-
-    Only the float dust that a spill parks opposite V can take a weight
-    below 0, and `_spill` bounds it by the tolerance.
-    """
-    for i, x in cells:
-        new = w[i] - x
-        w[i] = 0.0 if new < 0.0 else new
-
-
-def _top(heap: list, sign: float, s: list, alive: list) -> int:
-    """Arm at the top of a lazy popularity heap, dropping stale entries first.
-
-    Popularities only fall, and an arm is pushed again only when its value
-    changed, so an entry is current exactly when it still equals S_i.
-    """
-    while True:
-        key, i = heap[0]
-        if alive[i] and sign * key == s[i]:
-            return i
-        heapq.heappop(heap)
-
-
 def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     """Matrix with row sums A and column sums B; requires all S_i <= T.
 
@@ -272,28 +271,47 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
 
     a, b, s = inst.a.tolist(), inst.b.tolist(), inst.popularity.tolist()
     alive = [True] * n
+    # Popularities only fall, and an arm is pushed again only when its value
+    # changed, so a heap entry is current exactly when it still equals S_i.
     low = [(x, i) for i, x in enumerate(s)]
     high = [(-x, i) for i, x in enumerate(s)]
     heapq.heapify(low)
     heapq.heapify(high)
     start_a = start_b = 0
-    cells: list[tuple[int, int, float]] = []  # (i, j, P[i, j]) of every peeled row and column
+    keys: list[int] = []  # i * n + j of every peeled cell (i, j)
+    vals: list[float] = []  # and its value P[i, j]
     total = t
     for _ in range(n - 3):
-        k = _top(low, 1.0, s, alive)
-        heapq.heappop(low)
+        while True:
+            key, k = heapq.heappop(low)
+            if alive[k] and key == s[k]:
+                break
         alive[k] = False
-        v = _top(high, -1.0, s, alive)
+        while True:
+            key, v = high[0]
+            if alive[v] and -key == s[v]:
+                break
+            heapq.heappop(high)
         case, cut, row, col = _fill_cells(a, b, k, v, _tol(total), alive, start_a, start_b)
         if case == 2:
             start_b = n if cut is None else cut
         elif case == 3:
             start_a = n if cut is None else cut
 
-        cells.extend((k, j, x) for j, x in row)
-        cells.extend((i, k, x) for i, x in col)
-        _take(a, col)
-        _take(b, row)
+        # Each cell's value comes off the weight it fills, clamped at 0:
+        # only the float dust a spill parks opposite V can go below, and
+        # `_spill` bounds it by the tolerance.
+        kn = k * n
+        for j, x in row:
+            keys.append(kn + j)
+            vals.append(x)
+            new = b[j] - x
+            b[j] = 0.0 if new < 0.0 else new
+        for i, x in col:
+            keys.append(i * n + k)
+            vals.append(x)
+            new = a[i] - x
+            a[i] = 0.0 if new < 0.0 else new
         for i, _ in row + col:
             popularity = a[i] + b[i]
             if popularity != s[i]:
@@ -303,13 +321,15 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
         total -= s[k]
 
     live = [i for i in range(n) if alive[i]]
-    base = validate_instance([a[i] for i in live], [b[i] for i in live], total)
+    a3 = _base_weights([a[i] for i in live], total)
+    b3 = _base_weights([b[i] for i in live], total)
     # The base block goes in whole, zeros too, as the peel's cells do.
-    rows = [live[i] for i in _BASE_ROWS]
-    cols = [live[j] for j in _BASE_COLS]
-    cells.extend(zip(rows, cols, _base_values(base)))
-    cells.sort()  # row-major: positions are distinct, so values are never compared
-    m = JointSelectionMatrix(Cells(n, *zip(*cells)), t)
+    keys.extend(live[i] * n + live[j] for i, j in zip(_BASE_ROWS, _BASE_COLS))
+    vals.extend(_base_values(a3, b3, total))
+    flat = np.array(keys, dtype=np.intp)
+    order = np.argsort(flat, kind="stable")  # row-major; positions are distinct
+    rows, cols = np.divmod(flat[order], n)
+    m = JointSelectionMatrix(Cells(n, rows, cols, np.array(vals)[order]), t)
     pi_a, pi_b = m.marginals
     miss = max(float(np.abs(pi_a - inst.a).max()), float(np.abs(pi_b - inst.b).max()))
     if miss > _tol(t):

@@ -11,7 +11,16 @@ import pytest
 
 import jointselect.cli as cli
 import jointselect.minloss as minloss
-from jointselect import InternalInvariantError, matrix_from_json, matrix_to_json, uniform_random
+from jointselect import (
+    InternalInvariantError,
+    loss,
+    matrix_from_json,
+    matrix_to_json,
+    simultaneous_renormalization,
+    uniform_random,
+    validate_instance,
+)
+from jointselect.core import given_loss
 from jointselect.cli import main
 
 from conftest import TABLE1_A, TABLE1_B
@@ -232,6 +241,19 @@ def test_baseline_renorm_fallback_flag(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["fallback"] == "uniform"
     assert payload["entries"] == [0.0, 0.5, 0.5, 0.0]
+
+
+def test_baseline_reports_loss_against_the_weights_as_given(capsys, tmp_path):
+    # The weights' sums miss 1 by more than 1e-12, so the instance scales them.
+    a, b = NEAR_TOTAL[0]
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"a": a, "b": b}))
+    code, out, _ = run(capsys, "baseline", str(path), "--method", "renorm")
+    assert code == 0
+    inst = validate_instance(a, b)
+    m = simultaneous_renormalization(inst)
+    assert json.loads(out)["loss"] == given_loss(m, inst) == 0.023020442329184147
+    assert loss(m, inst) != given_loss(m, inst)
 
 
 def test_baseline_method_is_required(capsys, table1_file):

@@ -13,6 +13,7 @@ from jointselect import (
     InternalInvariantError,
     JointSelectError,
     PopularityExceedsTotalError,
+    TotalMismatchError,
     ValidationError,
     base_case_interval,
     base_case_three,
@@ -374,3 +375,76 @@ def test_a_skewed_or_negative_cell_is_caught_at_the_boundary(monkeypatch, value)
     edit_fills(monkeypatch, first_row_cell(value))
     with pytest.raises(JointSelectError):
         construct_zero_loss(validate_instance(*FIVE_ARMS))
+
+
+# --------------------------------------------------------------------------
+# one validation per call, and the peel's three-arm block
+# --------------------------------------------------------------------------
+
+def test_construct_validates_nothing_beyond_its_input(monkeypatch):
+    rng = np.random.default_rng(20230)
+    insts = [validate_instance(*FIVE_ARMS), validate_instance(CASE2_A, CASE2_B)]
+    insts += [random_feasible_instance(rng, n) for n in (4, 6, 17, 64, 300)]
+    insts.append(validate_instance(np.full(40, 1 / 40), np.full(40, 1 / 40)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("construct_zero_loss validated a second instance")
+
+    monkeypatch.setattr(zeroloss, "validate_instance", refuse)
+    for inst in insts:
+        pi_a, pi_b = construct_zero_loss(inst).marginals
+        assert np.abs(pi_a - inst.a).max() <= 1e-9
+        assert np.abs(pi_b - inst.b).max() <= 1e-9
+
+
+def three_arm_inputs():
+    """Three-arm weights to a total t: feasible or not, tied, with zeros,
+    with sums 1e-11 off (scaled) and 2e-9 off (rejected)."""
+    rng = np.random.default_rng(20231)
+    for t in (1.0, 0.6180339887498949, 0.05, 3e-4):
+        for rep in range(60):
+            a, b = t * rng.dirichlet(np.ones(3)), t * rng.dirichlet(np.ones(3))
+            kind = rep % 5
+            if kind == 1:  # every popularity 2t/3 up to rounding
+                while a.max() > 2 * t / 3:
+                    a = t * rng.dirichlet(np.ones(3))
+                b = 2 * t / 3 - a
+            elif kind == 2:
+                a[rng.integers(3)] = 0.0
+                b[rng.choice(3, int(rng.integers(1, 3)), replace=False)] = 0.0
+                a *= t / a.sum()
+                b *= t / b.sum()
+            elif kind == 3:
+                (a if rep % 2 else b)[rng.integers(3)] += 1e-11
+            elif kind == 4:
+                (a if rep % 2 else b)[rng.integers(3)] += 2e-9
+            yield a.tolist(), b.tolist(), t
+
+
+def outcome(build):
+    try:
+        return np.array(build()).tobytes()
+    except JointSelectError as exc:
+        return type(exc), str(exc)
+
+
+def test_peel_base_block_equals_the_base_case_of_an_instance():
+    seen = set()
+    for a, b, t in three_arm_inputs():
+        def peel():
+            w_a, w_b = zeroloss._base_weights(a, t), zeroloss._base_weights(b, t)
+            return zeroloss._base_values(w_a, w_b, t)
+
+        def instance():
+            m = base_case_three(validate_instance(a, b, t))
+            return m.entries[zeroloss._BASE_ROWS, zeroloss._BASE_COLS]
+
+        got = outcome(peel)
+        assert got == outcome(instance)
+        if isinstance(got, tuple):
+            seen.add(got[0])
+        else:
+            inst = validate_instance(a, b, t)
+            seen.add("scaled" if inst.a is not inst.given[0] or inst.b is not inst.given[1]
+                     else "built")
+    assert seen == {"built", "scaled", PopularityExceedsTotalError, TotalMismatchError}
