@@ -65,8 +65,13 @@ def _crash_message(exc: Exception) -> str:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:  # not UTF-8, nested too deep, an int too long
+        raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 @contextmanager

@@ -19,7 +19,9 @@ achievable depends only on whether any arm has S_i > T.
 A JointSelectionMatrix is stored as its nonzero off-diagonal cells
 (rows, cols, vals) in row-major order: the package's builders hand over
 the cells they already know (a `Cells` value), and validation, marginals,
-certificates and sampling read those. A matrix built from cells forms no
+certificates and sampling read those. Dense entries, given instead, enter
+as the cells of their entries that are not 0, so one validator
+(`_cell_store`) checks every matrix. A matrix built from cells forms no
 N x N array: its dense `entries` is scattered on first read, for the
 output formats, and its total in numpy's dense order is computed from the
 cells by a replica of numpy's pairwise summation (`_dense_order_sum`).
@@ -159,6 +161,21 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     return float(nodes[0])
 
 
+def _floats(x, what: str) -> NDArray[np.float64]:
+    """``np.array(x, dtype=np.float64)``, or ValidationError where numpy reads no reals."""
+    try:
+        return np.array(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an array of real numbers: {exc}") from None
+
+
+def _json_total(obj: dict) -> float:
+    total = obj.get("total", 1.0)
+    if not isinstance(total, (int, float)) or isinstance(total, bool):
+        raise ValidationError('"total" must be a number')
+    return float(total)
+
+
 def _clean_weights(w: NDArray[np.float64], what: str) -> Vec:
     """The value checks every weight array passes; callers check its shape.
 
@@ -222,8 +239,8 @@ class ProblemInstance:
     given: tuple[Vec, Vec] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        a = _floats(self.a, "preference weights")
+        b = _floats(self.b, "preference weights")
         if a.shape != b.shape:
             raise LengthMismatchError(f"preference lengths differ: {a.shape} vs {b.shape}")
         if a.ndim != 1:
@@ -268,8 +285,8 @@ class Cells(NamedTuple):
     """The off-diagonal cells of an N x N matrix; every other entry is 0.
 
     Cell k holds ``vals[k]`` at ``(rows[k], cols[k])``. Cells are distinct
-    and in row-major order. Pass one to JointSelectionMatrix in place of
-    the dense entries.
+    and in row-major order; a cell on the diagonal must be 0 after the
+    clamp. Pass one to JointSelectionMatrix in place of the dense entries.
     """
 
     n: int
@@ -278,13 +295,9 @@ class Cells(NamedTuple):
     vals: ArrayLike
 
 
-def _dense_entries(e) -> tuple[Mat, float, float]:
-    """Validate dense entries; returns them read-only with their minimum and sum.
-
-    A float64, C-contiguous ndarray that owns its data and is already
-    read-only is adopted; anything else is copied, and the clamp copies an
-    adopted array before writing. The total is checked by the caller.
-    """
+def _square(e) -> Mat:
+    """Dense entries as a square read-only float64 array: adopted if already one
+    that owns its data and is C-contiguous, else copied."""
     adopted = (
         type(e) is np.ndarray
         and e.dtype == np.float64
@@ -294,27 +307,10 @@ def _dense_entries(e) -> tuple[Mat, float, float]:
     )
     if not adopted:
         e = np.array(e, dtype=np.float64)
+        e.setflags(write=False)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {e.shape}")
-    if e.shape[0] < 2:
-        raise ValidationError("matrix needs at least 2 arms")
-    # min shows NaN and -inf. Past it, +inf shows as a non-finite sum,
-    # which finite entries can also give by overflow, so max tells the
-    # two apart only then.
-    lo = float(e.min())
-    if not isfinite(lo) or not (isfinite(entry_sum := float(e.sum())) or isfinite(e.max())):
-        raise ValidationError("matrix contains non-finite entries")
-    if lo < -ENTRY_CLAMP:
-        raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
-    if lo < 0.0:
-        if adopted:
-            e = e.copy()
-        e[e < 0.0] = 0.0
-        lo, entry_sum = 0.0, float(e.sum())
-    if np.any(np.diagonal(e) != 0.0):
-        raise ValidationError(_DIAGONAL_ERROR)
-    e.setflags(write=False)
-    return e, lo, entry_sum
+    return e
 
 
 def _positions(x, n: int) -> NDArray[np.intp]:
@@ -329,12 +325,14 @@ def _positions(x, n: int) -> NDArray[np.intp]:
 
 
 def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
-    """Validate cells as _dense_entries validates entries, in the same order.
+    """Validate the cells of a matrix: every JointSelectionMatrix goes through here.
 
-    Returns n, the minimum entry, the sum of the cells in their own order
-    (the total is checked by the caller), the (rows, cols, vals) of the
-    nonzero cells, and the flat positions and values of all the cells as
-    validated: zeros of either sign included, clamped cells at +0.0.
+    The checks run in a fixed order: the positions, non-finite values, the
+    clamp, the diagonal (a cell on it must be 0 after the clamp). Returns n,
+    the minimum entry, the sum of the cells in their own order (the total
+    is checked by the caller), the (rows, cols, vals) of the nonzero
+    off-diagonal cells, and the flat positions and values of all the cells
+    as validated: zeros of either sign included, clamped cells at +0.0.
     """
     n = c.n
     if not isinstance(n, (int, np.integer)):
@@ -349,22 +347,22 @@ def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
     key = rows * n + cols
     if np.count_nonzero(key[1:] <= key[:-1]):
         raise ValidationError("cells must be distinct and in row-major order")
-    cell_sum = float(vals.sum())
-    # A finite sum rules out NaN and infinities; a non-finite one can also
-    # be an overflow of finite entries, which the total check reports.
-    if not isfinite(cell_sum) and not np.isfinite(vals).all():
+    # Every entry outside the cells is +0.0, the diagonal at least. min
+    # shows NaN and -inf, before a sum could warn on inf - inf. Past it,
+    # +inf shows as a non-finite sum, which finite entries can also give
+    # by overflow, so max tells the two apart only then.
+    lo = float(vals.min(initial=0.0))
+    if not isfinite(lo) or not (isfinite(cell_sum := float(vals.sum())) or isfinite(vals.max())):
         raise ValidationError("matrix contains non-finite entries")
-    # Every entry outside the cells is +0.0, the diagonal at least.
-    lo = min(float(vals.min()), 0.0) if vals.size else 0.0
     if lo < -ENTRY_CLAMP:
         raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
     if lo < 0.0:
         vals[vals < 0.0] = 0.0
         lo, cell_sum = 0.0, float(vals.sum())
-    if np.count_nonzero(rows == cols):
+    if np.count_nonzero(vals[rows == cols]):
         raise ValidationError(_DIAGONAL_ERROR)
     placed = (key, vals)
-    if np.count_nonzero(vals) < vals.size:
+    if np.count_nonzero(vals) < vals.size:  # zeros, the diagonal's among them
         nonzero = vals != 0.0
         rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
     return n, lo, cell_sum, (rows, cols, vals), placed
@@ -393,19 +391,21 @@ class JointSelectionMatrix:
 
     The matrix is stored as ``rows``, ``cols`` and ``vals``: its nonzero
     off-diagonal cells in row-major order, as read-only arrays. Give it
-    either those cells, as a ``Cells(n, rows, cols, vals)`` value (cells
-    of value 0 are dropped; a cell on the diagonal is an error whatever
-    its value), or the dense entries, which are validated as a whole and
-    then give up their nonzero cells. Both raise the same errors in the
-    same order: non-finite values, the clamp, the diagonal, the total.
+    either those cells, as a ``Cells(n, rows, cols, vals)`` value, or the
+    dense entries, which enter as the cells of their entries that are not
+    0 (NaN among them). One validator (`_cell_store`) checks both, in one
+    order: non-finite values, the clamp, the diagonal, the total. After
+    the clamp every diagonal entry must be exactly 0; cells of value 0,
+    on the diagonal or off it, are then dropped.
 
     ``entries`` is the dense read-only array. Dense input is kept as it
     is: a float64, C-contiguous ndarray that owns its data and is already
     read-only is adopted (the owner must not make it writable again), and
-    any other is copied. From cells, no N x N array is formed until
-    ``entries`` is first read; it is then scattered from the cells as
-    validated, zero cells included (a -0.0 cell stays -0.0, a clamped one
-    is +0.0), and kept.
+    any other is copied; where the clamp changed an entry, a copy holds
+    +0.0 there. From cells, no N x N array is formed until ``entries`` is
+    first read; it is then scattered from the cells as validated, zero
+    cells included (a -0.0 cell stays -0.0, a clamped one is +0.0), and
+    kept.
 
     ``min_entry`` is the minimum entry. ``entry_sum`` is
     ``float(entries.sum())``, the total in numpy's dense order: dense
@@ -413,10 +413,9 @@ class JointSelectionMatrix:
     replica of numpy's pairwise summation that needs no dense array. The
     total check passes cells on their own sum when every sum within a
     proven error band of it (_SUM_BAND) would pass; otherwise it computes
-    ``entry_sum`` and decides, and words its message, on that. Either way
-    it accepts and rejects as the dense entries would. ``marginals`` (row
-    sums, column sums) is computed from the cells on first read and kept.
-    ``==`` and ``hash`` go by identity.
+    ``entry_sum`` and decides, and words its message, on that, as it does
+    for dense input. ``marginals`` (row sums, column sums) is computed from
+    the cells on first read and kept. ``==`` and ``hash`` go by identity.
     """
 
     n: int
@@ -425,27 +424,31 @@ class JointSelectionMatrix:
     rows: NDArray[np.intp] = field(repr=False)
     cols: NDArray[np.intp] = field(repr=False)
     vals: Vec = field(repr=False)
-    # The flat positions and values of the validated cells, zeros included;
-    # None for dense input.
-    _placed: tuple[NDArray[np.intp], Vec] | None = field(repr=False)
+    # The flat positions and values of the validated cells, zeros included.
+    _placed: tuple[NDArray[np.intp], Vec] = field(repr=False)
 
     def __init__(self, entries: Mat | Cells, total: float = 1.0) -> None:
-        if isinstance(entries, Cells):
-            n, lo, cell_sum, cells, placed = _cell_store(entries)
-            entry_sum = None
-            if not _surely_within(cell_sum, total):
-                entry_sum = _dense_order_sum(n * n, *placed)
-        else:
-            e, lo, entry_sum = _dense_entries(entries)
-            n, placed = e.shape[0], None
+        dense = None
+        if not isinstance(entries, Cells):
+            dense = _square(entries)
+            n = dense.shape[0]
+            key = np.flatnonzero(dense)  # NaN is not 0, so it stays a cell
+            entries = Cells(n, *np.divmod(key, n), dense.ravel()[key])
+        n, lo, cell_sum, cells, placed = _cell_store(entries)
+        entry_sum = None
+        if dense is not None:
+            if np.count_nonzero(entries.vals < 0.0):  # clamped: copy, then write +0.0
+                dense = dense.copy()
+                dense.ravel()[placed[0]] = placed[1]
+                dense.setflags(write=False)
+            object.__setattr__(self, "entries", dense)
+            entry_sum = float(dense.sum())
+        elif not _surely_within(cell_sum, total):
+            entry_sum = _dense_order_sum(n * n, *placed)
         if entry_sum is not None and abs(entry_sum - total) > _tol(total):
             raise TotalMismatchError(
                 f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"
             )
-        if placed is None:
-            key = np.flatnonzero(e)  # the diagonal is exactly 0
-            cells = (*np.divmod(key, n), e.ravel()[key])
-            object.__setattr__(self, "entries", e)
         for name, x in zip(("rows", "cols", "vals"), cells):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -647,10 +650,7 @@ def instance_from_json(obj: dict) -> ProblemInstance:
     for key in ("a", "b"):
         if key not in obj:
             raise ValidationError(f'preference input is missing key "{key}"')
-    total = obj.get("total", 1.0)
-    if not isinstance(total, (int, float)) or isinstance(total, bool):
-        raise ValidationError('"total" must be a number')
-    return validate_instance(obj["a"], obj["b"], float(total))
+    return validate_instance(obj["a"], obj["b"], _json_total(obj))
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:
@@ -672,7 +672,7 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f'"n" must be an integer >= 2, got {n!r}')
-    entries = np.array(obj["entries"], dtype=np.float64)
+    entries = _floats(obj["entries"], '"entries"')
     if entries.size != n * n:
         raise ValidationError(
             f'"entries" must hold n*n = {n * n} reals, got {entries.size}'
@@ -681,8 +681,7 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     # adopts it instead of copying.
     entries.resize((n, n))
     entries.setflags(write=False)
-    total = obj.get("total", 1.0)
-    return JointSelectionMatrix(entries, float(total))
+    return JointSelectionMatrix(entries, _json_total(obj))
 
 
 def matrix_to_csv(m: JointSelectionMatrix) -> str:

@@ -230,6 +230,8 @@ def convexity_check(n: int, trials: int = 1000, seed: int = 0) -> ConvexityRepor
         raise ValidationError(f"need at least 2 arms, got {n}")
     if n > 8:
         raise DimensionTooLargeError(f"convexity check is desk-scale (N <= 8), got {n}")
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
     h = loss_hessian(n)
     d = h.shape[0]
     rng = np.random.default_rng(seed)

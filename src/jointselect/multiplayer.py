@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights
+from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -59,7 +59,7 @@ class MultiPreferences:
     popularity: Vec = field(init=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _floats(self.weights, "multi-player weights")
         if w.ndim != 2:
             raise ValidationError(f"multi-player weights must be M x N, got shape {w.shape}")
         m, n = w.shape
@@ -89,11 +89,7 @@ class MultiPreferences:
 
 def validate_multi(rows) -> MultiPreferences:
     """Build validated multi-player preferences from an M x N array-like."""
-    try:
-        w = np.asarray(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"players must form an M x N numeric array: {exc}") from None
-    return MultiPreferences(w)
+    return MultiPreferences(rows)
 
 
 @dataclass(frozen=True)

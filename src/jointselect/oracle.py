@@ -14,8 +14,8 @@ that player the same arm, so each contributes eigenvalues at most
 are global minima.
 
 `solve_min_loss` is the two-player case: the N^2 - N off-diagonal entries
-in row-major order, and the step 1/(4(N-1)). `multiplayer` runs the same
-loop over M-tuples.
+in row-major order, handed to the matrix as its cells, and the step
+1/(4(N-1)). `multiplayer` runs the same loop over M-tuples.
 
 This solver deliberately shares no code path with the closed-form
 constructions it is used to check.
@@ -30,7 +30,7 @@ from itertools import permutations
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import JointSelectionMatrix, ProblemInstance, Vec, _require_unit_total, loss
+from .core import Cells, JointSelectionMatrix, ProblemInstance, Vec, _require_unit_total, loss
 from .errors import DimensionTooLargeError
 
 MAX_ORACLE_ARMS = 12
@@ -105,10 +105,7 @@ def solve_min_loss(
     idx = np.array(list(permutations(range(n), 2)), dtype=np.intp)
     p, iterations, gap = descend(idx, np.stack([inst.a, inst.b]), tol, max_iter)
 
-    entries = np.zeros((n, n))
-    entries[idx[:, 0], idx[:, 1]] = p
-    entries.setflags(write=False)
-    matrix = JointSelectionMatrix(entries, 1.0)
+    matrix = JointSelectionMatrix(Cells(n, idx[:, 0], idx[:, 1], p), 1.0)
     return OracleResult(matrix, loss(matrix, inst), iterations, gap, gap <= tol)
 
 

@@ -179,11 +179,12 @@ def _fill_cells(a, b, k: int, v: int, tol: float, alive, start_a: int, start_b: 
     Returns (case, cut, row, col): ``row`` holds the (j, value) cells of
     entries (K, j), ``col`` the (i, value) cells of entries (i, K). Case 2
     spills over B from arm ``start_b`` on, case 3 over A from ``start_a``.
+    A_K > B_V and B_K > A_V together would mean S_K > S_V, so they hold
+    together only by rounding, when S_K and S_V round to one float; case 2
+    runs then, and its sub-ulp spill is dust that the final check bounds.
     """
     ak, bk, av, bv = a[k], b[k], a[v], b[v]
     if ak > bv:
-        if bk > av:
-            raise InternalInvariantError("cases 2 and 3 cannot hold together (S_K > S_V)")
         spill, cut, rem = _spill(b, ak - bv, k, v, alive, start_b, tol, 2)
         return 2, cut, [(v, bv + rem), *spill], [(v, bk)]
     if bk > av:
@@ -211,16 +212,6 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
     if s[k] > s.min() + tol or s[v] < np.delete(s, k).max() - tol:
         raise ValidationError("K must be the least popular arm and V the most popular")
     _require_feasible(float(s.max()), t)
-
-    # At most one arm can violate S_i <= T - S_K, and only the most popular
-    # one (a second violator would push the popularity sum past 2T).
-    headroom = t - s[k]
-    violators = [i for i in range(n) if i != k and s[i] > headroom + tol]
-    if violators and violators != [v]:
-        raise InternalInvariantError(
-            f"popularity violators {violators} are not limited to the argmax arm {v}"
-        )
-
     case, cut, row_cells, col_cells = _fill_cells(inst.a, inst.b, k, v, tol, [True] * n, 0, 0)
     row = np.zeros(n)
     col = np.zeros(n)
@@ -281,6 +272,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     keys: list[int] = []  # i * n + j of every peeled cell (i, j)
     vals: list[float] = []  # and its value P[i, j]
     total = t
+    tol = _tol(t)
     for _ in range(n - 3):
         while True:
             key, k = heapq.heappop(low)
@@ -292,7 +284,7 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
             if alive[v] and -key == s[v]:
                 break
             heapq.heappop(high)
-        case, cut, row, col = _fill_cells(a, b, k, v, _tol(total), alive, start_a, start_b)
+        case, cut, row, col = _fill_cells(a, b, k, v, tol, alive, start_a, start_b)
         if case == 2:
             start_b = n if cut is None else cut
         elif case == 3:

@@ -91,6 +91,13 @@ def test_cells_reject_malformed_positions(cells, match):
         JointSelectionMatrix(cells)
 
 
+@pytest.mark.parametrize("vals", [[-np.inf, np.inf], [np.inf, -np.inf]])
+def test_cells_with_infinities_raise_without_a_warning(vals):
+    # Any warning fails the suite, and inf + -inf would warn.
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointSelectionMatrix(Cells(2, [0, 1], [1, 0], vals))
+
+
 def test_cell_built_matrix_equals_the_dense_built_one():
     # Cells of value 0 (either sign) and clamped cells are dropped from the
     # store, as the dense form's nonzero scan leaves them out.

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import jointselect.cli as cli
 import jointselect.minloss as minloss
@@ -125,6 +128,34 @@ def test_construct_validation_error_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "construct", str(bad))
     assert code == 2
     assert stderr_error(err)["error"] == "negative-weight"
+
+
+def test_construct_exits_zero_on_a_tie_that_rounding_splits(capsys, tmp_path):
+    # Both of the peeled arm's weights overflow their opposites by under an
+    # ulp, while all four popularities round to 0.5.
+    path = tmp_path / "tied.json"
+    path.write_text(json.dumps({"a": [0.30000000000000004, 0.19999999999999998, 0.25, 0.25],
+                                "b": [0.2, 0.3, 0.25, 0.25]}))
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["branch"] == "zero-loss"
+    assert payload["loss"] < 1e-30
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["construct"], ["baseline", "--method", "uniform"], ["verify", "--oracle"]],
+    ids=["construct", "baseline", "verify"],
+)
+@pytest.mark.parametrize("a", [[0.5, "x"], {}, [0.5, []]], ids=["string", "object", "nested"])
+def test_non_numeric_weights_exit_two(capsys, tmp_path, command, a):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"a": a, "b": [0.5, 0.5]}))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"  # one JSON object, nothing else
 
 
 def test_construct_missing_file_exits_two(capsys, tmp_path):
@@ -372,6 +403,14 @@ def test_verify_convexity_needs_dimension(capsys):
     assert stderr_error(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_convexity_needs_a_trial(capsys, trials):
+    code, out, err = run(capsys, "verify", "--convexity", "--n", "3", "--trials", trials)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
+
+
 # --------------------------------------------------------------------------
 # sample
 # --------------------------------------------------------------------------
@@ -406,6 +445,20 @@ def test_sample_requires_seed_and_draws(capsys, table1_file):
     with pytest.raises(SystemExit) as exc:
         main(["sample", table1_file, "--draws", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"n": 2, "entries": [0, "x", 1, 0]}, {"n": 2, "entries": [0, 0.5, 0.5, 0], "total": None}],
+    ids=["entry", "total"],
+)
+def test_sample_non_numeric_matrix_exits_two(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "sample", str(path), "--seed", "1", "--draws", "10")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 # --------------------------------------------------------------------------
@@ -458,6 +511,73 @@ def test_feasibility_requires_players_key(capsys, tmp_path):
     code, _, err = run(capsys, "feasibility", str(path))
     assert code == 2
     assert stderr_error(err)["error"] == "validation"
+
+
+# --------------------------------------------------------------------------
+# any JSON input
+# --------------------------------------------------------------------------
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2.0, 2.0),
+    st.sampled_from([1e308, -1e-13, 10**400]), st.text(max_size=3),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+WEIGHTS = JSON_VALUES | st.lists(st.floats(0.0, 1.0) | JSON_VALUES, max_size=6)
+TOTALS = {"total": JSON_VALUES}
+PREFERENCE_COMMANDS = [
+    ["construct"], ["construct", "--format", "csv"], ["baseline", "--method", "uniform"],
+    ["baseline", "--method", "renorm"], ["baseline", "--method", "order"],
+    ["verify", "--kkt"], ["verify", "--convexity"], ["feasibility"],
+]
+INPUTS = st.one_of(
+    st.tuples(
+        st.sampled_from(PREFERENCE_COMMANDS),
+        st.fixed_dictionaries({"a": WEIGHTS, "b": WEIGHTS, "players": WEIGHTS}, optional=TOTALS),
+    ),
+    st.tuples(
+        st.just(["sample", "--seed", "1", "--draws", "10"]),
+        st.fixed_dictionaries({"n": st.integers(-1, 4) | JSON_VALUES, "entries": WEIGHTS},
+                              optional=TOTALS),
+    ),
+    st.tuples(st.sampled_from(PREFERENCE_COMMANDS), JSON_VALUES),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(INPUTS)
+def test_any_json_input_exits_zero_one_or_two(tmp_path_factory, case):
+    # Exit 3 is for bugs alone: whatever JSON comes in, a command answers or
+    # says, as one JSON object on stderr, what is wrong with its input.
+    command, obj = case
+    path = tmp_path_factory.getbasetemp() / "any-json-input.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], str(path), *command[1:]])
+    assert code in (0, 1, 2), err.getvalue()
+    if code:
+        assert "error" in json.loads(err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, "[" + "1" * 5000 + "]", b"[0.5, \xff]"],
+    ids=["deep", "long-int", "not-utf-8"],
+)
+def test_json_that_python_cannot_read_is_a_parse_error(capsys, tmp_path, text):
+    path = tmp_path / "in.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out, err = run(capsys, "construct", str(path))
+    assert code == 2
+    assert out == ""
+    assert stderr_error(err)["error"] == "parse"
 
 
 # --------------------------------------------------------------------------

@@ -289,6 +289,26 @@ def test_matrix_validation_edges(entries, error, match, read_only):
         JointSelectionMatrix(e)
 
 
+def test_matrix_diagonal_is_exactly_zero_after_the_clamp():
+    # One diagonal rule for dense entries and cells: after the clamp every
+    # diagonal entry is exactly 0. A tiny negative there becomes +0.0, and
+    # a diagonal cell of value 0 is dropped.
+    e = owned_read_only([[-1e-13, 0.5], [0.5, 0.0]])
+    m = JointSelectionMatrix(e)
+    assert e[0, 0] == -1e-13
+    assert m.entries[0, 0] == 0.0 and not np.signbit(m.entries[0, 0])
+    assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]
+    assert m.entry_sum == float(m.entries.sum()) == 1.0
+    for value in (0.0, -0.0, -1e-13):
+        m = JointSelectionMatrix(core.Cells(2, [0, 0, 1], [0, 1, 0], [value, 0.5, 0.5]))
+        assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]
+        assert m.entries[0, 0] == 0.0
+    for given in (np.array([[1e-300, 0.5], [0.5, 0.0]]),
+                  core.Cells(2, [0, 0, 1], [0, 1, 0], [1e-300, 0.5, 0.5])):
+        with pytest.raises(ValidationError, match="diagonal"):
+            JointSelectionMatrix(given)
+
+
 def test_matrix_minimum_and_total_are_those_of_the_stored_entries():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -622,6 +642,15 @@ def test_instance_from_json_rejects_bad_payloads():
         instance_from_json({"a": TABLE1_A, "b": TABLE1_B, "total": "one"})
 
 
+def test_weights_that_numpy_reads_as_no_reals_are_a_validation_error():
+    for bad in ([0.5, "x"], {}, [0.5, []], [10**400, 0]):
+        with pytest.raises(ValidationError, match="array of real numbers"):
+            validate_instance(bad, [0.5, 0.5])
+    # What numpy reads as reals is taken as it reads it.
+    inst = validate_instance(["0.5", "0.5"], [True, False])
+    assert inst.a.tolist() == [0.5, 0.5] and inst.b.tolist() == [1.0, 0.0]
+
+
 def test_matrix_json_round_trip_is_exact():
     rng = np.random.default_rng(5)
     raw = rng.dirichlet(np.ones(12))
@@ -664,6 +693,14 @@ def test_matrix_from_json_rejects_bad_payloads():
         matrix_from_json({"n": 3, "entries": good["entries"][:-1]})
     with pytest.raises(ValidationError):
         matrix_from_json({"n": True, "entries": good["entries"]})
+
+
+def test_matrix_from_json_rejects_non_numeric_entries_and_total():
+    with pytest.raises(ValidationError, match="array of real numbers"):
+        matrix_from_json({"n": 2, "entries": [0, "x", 1, 0]})
+    for total in (None, "1", True):
+        with pytest.raises(ValidationError, match='"total" must be a number'):
+            matrix_from_json({"n": 2, "entries": [0, 0.5, 0.5, 0], "total": total})
 
 
 def test_matrix_csv_round_trips_and_zeroes_diagonal():

@@ -64,6 +64,12 @@ def test_validate_multi_rejects_bad_rows():
         validate_multi([[0.6, 0.5, -0.1], [0.2, 0.3, 0.5]])
 
 
+def test_validate_multi_rejects_non_numeric_rows():
+    for rows in ([[0.5, "x"], [0.5, 0.5]], {}, [[0.5, []], [0.5, 0.5]]):
+        with pytest.raises(ValidationError, match="array of real numbers"):
+            validate_multi(rows)
+
+
 # --------------------------------------------------------------------------
 # tensors
 # --------------------------------------------------------------------------

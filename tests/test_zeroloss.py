@@ -223,6 +223,23 @@ def test_fill_case_dispatch_is_total_and_unambiguous():
     assert all(hits[c] > 0 for c in (1, 2, 3))
 
 
+# A_K > B_V and B_K > A_V, each by under one ulp, while every popularity
+# rounds to 0.5: a tie, which goes to K = 0 and V = 1.
+TIED_A = [0.30000000000000004, 0.19999999999999998, 0.25, 0.25]
+TIED_B = [0.2, 0.3, 0.25, 0.25]
+
+
+def test_fill_takes_case_two_when_both_overflows_hold_by_rounding():
+    inst = validate_instance(TIED_A, TIED_B)
+    assert inst.popularity.tolist() == [0.5] * 4
+    assert TIED_A[0] > TIED_B[1] and TIED_B[0] > TIED_A[1]
+    fill = fill_row_col(inst, 0, 1)
+    assert fill.case == 2 and fill.cut == 2
+    assert fill.row_k[2] < 1e-16  # the sub-ulp excess, spilled as dust
+    m = construct_zero_loss(inst)
+    assert loss(m, inst) < 1e-30
+
+
 # --------------------------------------------------------------------------
 # induction step: reduction
 # --------------------------------------------------------------------------
