@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isfinite
 from typing import NamedTuple
 
@@ -80,6 +80,10 @@ _DIAGONAL_ERROR = "diagonal entries must be exactly 0 (conflict-freedom)"
 # This band covers that and the rounding of the band's own edges.
 _SUM_BAND = 256 * 2.0**-53
 
+# Sums of nonnegative values whose count times their largest stays below
+# this, half the largest float, cannot overflow, rounding included.
+_NO_OVERFLOW = 2.0**1023
+
 # bitrev_8(k) for k = 0 .. 255: the 8 bits of k in reverse order.
 _BITREV8 = np.array([int(f"{k:08b}"[::-1], 2) for k in range(256)], dtype=np.intp)
 
@@ -97,6 +101,50 @@ def _bit_reversed(d: int) -> NDArray[np.intp]:
     return ((low << (d - s))[None, :] | _bit_reversed(d - s)[:, None]).ravel()
 
 
+class _Layout(NamedTuple):
+    """The blocks of numpy's pairwise summation of an array of one length."""
+
+    depth: int  # the tree depth of the nodes that hold the blocks
+    ends: NDArray[np.intp]  # the end of each node, counted in chunks of 8
+    whole: NDArray[np.bool_] | None  # which node pairs are one block of 8 + 8 chunks
+    split: bool  # whether the last node is split in two blocks
+
+
+@lru_cache(maxsize=1)
+def _layout(length: int) -> _Layout:
+    """The layout `_dense_order_sum` replays, for arrays of this length.
+
+    It depends on the length alone, so the last one is kept: its arrays,
+    read-only, take about 8 bytes per node, 2**depth nodes of 64 to 128
+    elements each (64 KB for length 1024**2, 8 MB for 10**8).
+    """
+    chunks, tail = divmod(length, 8)
+    # Counted in chunks of 8 elements, a run of c chunks splits into c >> 1
+    # and (c + 1) >> 1 and the tail stays in the last run, so node k at
+    # depth d holds (chunks + bitrev_d(k)) >> d chunks. The blocks are the
+    # nodes at `depth`, the first depth at which none holds more than 16
+    # chunks, with two exceptions: a node of 16 chunks one level up is a
+    # block already, and a last node of 16 chunks that also holds the tail
+    # is split once more, into 8 chunks and 8 chunks plus the tail.
+    depth = ((chunks - 1) >> 4).bit_length() if chunks else 0
+    q, t = chunks >> depth, chunks & ((1 << depth) - 1)
+    big = _bit_reversed(depth) >= (1 << depth) - t  # nodes of q + 1 chunks; the rest hold q
+    ends = np.cumsum(q + big)
+    whole = ~(big[0::2] | big[1::2]) if depth and q == 8 else None  # pairs of 8 + 8 chunks
+    for x in (ends, whole):
+        if x is not None:
+            x.setflags(write=False)
+    return _Layout(depth, ends, whole, bool(tail) and q + big[-1] == 16)
+
+
+def _run_starts(key: NDArray[np.intp]) -> NDArray[np.bool_]:
+    """Where each run of equal values of ``key``, which is not empty, starts."""
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
+
+
 def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     """``float(a.sum())`` of the float64 array ``a`` of this length that holds
     ``vals`` at the strictly increasing positions ``pos`` and 0 elsewhere.
@@ -110,54 +158,54 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     length % 8 elements left over, one by one. A longer run is split at
     8 * floor(length / 16) and its two halves are added. A zero leaves a
     nonzero partial sum as it is, and numpy's result starts from +0.0, so
-    the zeros of ``a`` are left out. Scratch memory is O(pos.size +
-    length / 64).
+    the zeros of ``a`` are left out. The blocks of a length are its
+    `_layout`, kept for the last length; besides it, scratch memory is
+    O(pos.size).
     """
     if pos.size == 0:
         return 0.0
+    depth, ends, whole, split = _layout(length)
     chunks, tail = divmod(length, 8)
-    # Counted in chunks of 8 elements, a run of c chunks splits into c >> 1
-    # and (c + 1) >> 1 and the tail stays in the last run, so node k at
-    # depth d holds (chunks + bitrev_d(k)) >> d chunks. The blocks are the
-    # nodes at `depth`, the first depth at which none holds more than 16
-    # chunks, with two exceptions: a node of 16 chunks one level up is a
-    # block already, and a last node of 16 chunks that also holds the tail
-    # is split once more, into 8 chunks and 8 chunks plus the tail.
-    depth = ((chunks - 1) >> 4).bit_length() if chunks else 0
-    q, t = chunks >> depth, chunks & ((1 << depth) - 1)
-    big = _bit_reversed(depth) >= (1 << depth) - t  # nodes of q + 1 chunks; the rest hold q
-    split = bool(tail) and q + big[-1] == 16
-    inner = int(np.searchsorted(pos, 8 * chunks))  # the cells before the tail
+    inner = int(np.searchsorted(pos, 8 * chunks)) if tail else pos.size  # the cells before the tail
     chunk = pos[:inner] >> 3
-    node = np.searchsorted(np.cumsum(q + big), chunk, side="right")
+    node = np.searchsorted(ends, chunk, side="right")
     # Each block gets a key that grows with position: 2k for node k, 4j for
     # a block of the two nodes 2j and 2j + 1, and 2k + 1 for the second half
     # of a split node k. The key // 2 is the node the block's sum lands in.
     key = np.empty(pos.size, dtype=np.intp)
     block = key[:inner]
     np.left_shift(node, 1, out=block)
-    if depth and q == 8:
-        whole = ~(big[0::2] | big[1::2])  # pairs of 8 + 8 chunks
+    if whole is not None:
         block[whole[node >> 1]] &= ~3
     if split:
         block += chunk >= chunks - 8
     key[inner:] = (2 << depth) - 2 + split
-    first = np.empty(pos.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    first = _run_starts(key)
     live = key[first]
-    rank = np.cumsum(first) - 1
-    # bincount adds the weights of one bin in input order, from +0.0.
-    lanes = np.bincount(8 * rank[:inner] + (pos[:inner] & 7), vals[:inner], 8 * live.size)
+    rank = np.add.accumulate(first, dtype=np.intp)  # 1 + the block of each cell
+    # bincount adds the weights of one bin in input order, from +0.0; its
+    # first 8 bins, those of rank 0, are empty.
+    lanes = np.bincount(8 * rank[:inner] + (pos[:inner] & 7), vals[:inner], 8 * live.size + 8)[8:]
     lanes = lanes.astype(np.float64, copy=False).reshape(-1, 8)  # bincount of nothing is int
     for _ in range(3):
         lanes = lanes[:, 0::2] + lanes[:, 1::2]
     sums = lanes.ravel()
     for x in vals[inner:].tolist():  # the tail, in the last block
         sums[-1] += x
-    nodes = np.bincount(live >> 1, sums, 1 << depth)
-    for _ in range(depth):
+    # The nodes are added in pairs, level by level. A node that holds no
+    # block is +0.0, and no node's sum is -0.0 (bincount starts from +0.0),
+    # so a node without a sibling passes up as it is: while a level is more
+    # than 8 times as wide as the sums it holds, only those are kept.
+    node, width = live >> 1, 1 << depth
+    while width > 8 * node.size:
+        first = _run_starts(node)
+        sums = np.bincount(np.add.accumulate(first, dtype=np.intp), sums)[1:]
+        node = node[first] >> 1
+        width >>= 1
+    nodes = np.bincount(node, sums, width)
+    while width > 1:
         nodes = nodes[0::2] + nodes[1::2]
+        width >>= 1
     return float(nodes[0])
 
 
@@ -173,25 +221,46 @@ def _json_total(obj: dict) -> float:
     total = obj.get("total", 1.0)
     if not isinstance(total, (int, float)) or isinstance(total, bool):
         raise ValidationError('"total" must be a number')
-    return float(total)
+    try:
+        if isfinite(total):  # json reads NaN and Infinity
+            return float(total)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ValidationError('"total" must be finite')
 
 
-def _clean_weights(w: NDArray[np.float64], what: str) -> Vec:
-    """The value checks every weight array passes; callers check its shape.
+def _clean_weights(w: NDArray[np.float64], what: str) -> tuple[Vec, float]:
+    """The value checks every weight array passes; callers check its shape
+    and hand over an array of their own, which is made read-only.
 
     Values must be finite and no lower than -1e-12; what remains below zero
-    (including -0.0) is clamped to +0.0. The result is read-only.
+    (including -0.0) is clamped to +0.0, in a copy. The min shows NaN and
+    -inf, and the max +inf. Returns the weights and their largest value.
     """
-    if not np.all(np.isfinite(w)):
+    lo, hi = float(w.min()), float(w.max())
+    if not (isfinite(lo) and isfinite(hi)):
         raise ValidationError(f"{what} contains non-finite values")
-    if np.any(w < -ENTRY_CLAMP):
+    if lo < -ENTRY_CLAMP:
         raise NegativeWeightError(
-            f"{what} has negative entries beyond the {-ENTRY_CLAMP:g} clamp: "
-            f"min = {w.min():.3e}"
+            f"{what} has negative entries beyond the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}"
         )
-    w = np.where(w <= 0.0, 0.0, w)
+    if lo <= 0.0:
+        w = np.where(w <= 0.0, 0.0, w)
     w.setflags(write=False)
-    return w
+    return w, hi
+
+
+def _sum(x: Vec, hi: float) -> float:
+    """``float(x.sum())`` of nonnegative values no larger than ``hi``.
+
+    A sum past the float range misses any finite total, so it is inf
+    without numpy's overflow warning. The warning is switched off only
+    where the sum could overflow, as switching it costs more than the sum.
+    """
+    if hi * x.size < _NO_OVERFLOW:
+        return float(x.sum())
+    with np.errstate(over="ignore"):
+        return float(x.sum())
 
 
 def _rescale(w_sum: float, total: float) -> float | None:
@@ -209,7 +278,7 @@ def _rescale(w_sum: float, total: float) -> float | None:
 
 
 def _require_unit_total(total: float, what: str) -> None:
-    if abs(total - 1.0) > SUM_RTOL:
+    if not abs(total - 1.0) <= SUM_RTOL:  # NaN fails too
         raise TotalNotOneError(f"{what} needs total = 1, got {total:.17g}")
 
 
@@ -225,10 +294,11 @@ class ProblemInstance:
     and each vector sums to ``total`` within 1e-9 relative tolerance. A
     vector whose sum misses ``total`` by more than 1e-12 (relative) is
     scaled to it, so both vectors sum to ``total`` up to rounding.
-    ``total`` is 1 for user-facing instances; reduced sub-instances carry
-    smaller totals. ``popularity`` is S = A + B, computed here. ``given``
-    is (a, b) as given, after the clamp and before any scaling: the same
-    arrays as ``a`` and ``b`` when neither was scaled.
+    ``total``, finite and nonnegative, is 1 for user-facing instances;
+    reduced sub-instances carry smaller totals. ``popularity`` is
+    S = A + B, computed here. ``given`` is (a, b) as given, after the clamp
+    and before any scaling: the same arrays as ``a`` and ``b`` when
+    neither was scaled.
     ``==`` and ``hash`` go by identity, as the fields are arrays.
     """
 
@@ -251,11 +321,13 @@ class ProblemInstance:
             raise ValidationError(f"preference weights needs at least 2 arms, got {a.size}")
         given = []
         for name, w in (("a", a), ("b", b)):
-            w = _clean_weights(w, "preference weights")
+            w, hi = _clean_weights(w, "preference weights")
             given.append(w)
+            if not isfinite(self.total):
+                raise ValidationError(f"total must be finite, got {self.total}")
             if self.total < -ENTRY_CLAMP:
                 raise ValidationError(f"total must be nonnegative, got {self.total}")
-            scale = _rescale(float(w.sum()), self.total)
+            scale = _rescale(_sum(w, hi), self.total)
             if scale is not None:
                 w = w * scale
                 w.setflags(write=False)
@@ -328,11 +400,11 @@ def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
     """Validate the cells of a matrix: every JointSelectionMatrix goes through here.
 
     The checks run in a fixed order: the positions, non-finite values, the
-    clamp, the diagonal (a cell on it must be 0 after the clamp). Returns n,
-    the minimum entry, the sum of the cells in their own order (the total
-    is checked by the caller), the (rows, cols, vals) of the nonzero
-    off-diagonal cells, and the flat positions and values of all the cells
-    as validated: zeros of either sign included, clamped cells at +0.0.
+    clamp, the diagonal (a cell on it must be 0 after the clamp); the total
+    is checked by the caller. Returns n, the minimum and the maximum entry,
+    the (rows, cols, vals) of the nonzero off-diagonal cells, and the flat
+    positions and values of all the cells as validated: zeros of either
+    sign included, clamped cells at +0.0.
     """
     n = c.n
     if not isinstance(n, (int, np.integer)):
@@ -348,24 +420,22 @@ def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
     if np.count_nonzero(key[1:] <= key[:-1]):
         raise ValidationError("cells must be distinct and in row-major order")
     # Every entry outside the cells is +0.0, the diagonal at least. min
-    # shows NaN and -inf, before a sum could warn on inf - inf. Past it,
-    # +inf shows as a non-finite sum, which finite entries can also give
-    # by overflow, so max tells the two apart only then.
-    lo = float(vals.min(initial=0.0))
-    if not isfinite(lo) or not (isfinite(cell_sum := float(vals.sum())) or isfinite(vals.max())):
+    # shows NaN and -inf, and max +inf.
+    lo, hi = float(vals.min(initial=0.0)), float(vals.max(initial=0.0))
+    if not (isfinite(lo) and isfinite(hi)):
         raise ValidationError("matrix contains non-finite entries")
     if lo < -ENTRY_CLAMP:
         raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
     if lo < 0.0:
         vals[vals < 0.0] = 0.0
-        lo, cell_sum = 0.0, float(vals.sum())
+        lo = 0.0
     if np.count_nonzero(vals[rows == cols]):
         raise ValidationError(_DIAGONAL_ERROR)
     placed = (key, vals)
     if np.count_nonzero(vals) < vals.size:  # zeros, the diagonal's among them
         nonzero = vals != 0.0
         rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    return n, lo, cell_sum, (rows, cols, vals), placed
+    return n, lo, hi, (rows, cols, vals), placed
 
 
 def _surely_within(rough: float, total: float) -> bool:
@@ -384,8 +454,8 @@ def _surely_within(rough: float, total: float) -> bool:
 class JointSelectionMatrix:
     """An N x N joint selection probability matrix with zero diagonal.
 
-    Entries are nonnegative (clamped within -1e-12) and sum to ``total``
-    within 1e-9 relative tolerance. Entry (i, j) is the probability that
+    Entries are nonnegative (clamped within -1e-12) and sum to a finite
+    ``total`` within 1e-9 relative tolerance. Entry (i, j) is the probability that
     player A is assigned arm i while player B is assigned arm j; the zero
     diagonal is what makes the assignment conflict-free.
 
@@ -434,7 +504,9 @@ class JointSelectionMatrix:
             n = dense.shape[0]
             key = np.flatnonzero(dense)  # NaN is not 0, so it stays a cell
             entries = Cells(n, *np.divmod(key, n), dense.ravel()[key])
-        n, lo, cell_sum, cells, placed = _cell_store(entries)
+        n, lo, hi, cells, placed = _cell_store(entries)
+        if not isfinite(total):
+            raise ValidationError(f"total must be finite, got {total}")
         entry_sum = None
         if dense is not None:
             if np.count_nonzero(entries.vals < 0.0):  # clamped: copy, then write +0.0
@@ -442,9 +514,10 @@ class JointSelectionMatrix:
                 dense.ravel()[placed[0]] = placed[1]
                 dense.setflags(write=False)
             object.__setattr__(self, "entries", dense)
-            entry_sum = float(dense.sum())
-        elif not _surely_within(cell_sum, total):
-            entry_sum = _dense_order_sum(n * n, *placed)
+            entry_sum = _sum(dense, hi)
+        elif not _surely_within(_sum(placed[1], hi), total):  # the cells in their own order
+            with np.errstate(over="ignore"):  # it overflows where the cells' sum did
+                entry_sum = _dense_order_sum(n * n, *placed)
         if entry_sum is not None and abs(entry_sum - total) > _tol(total):
             raise TotalMismatchError(
                 f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"

@@ -20,8 +20,10 @@ is built only when a caller reads `KktCertificate.lam`. The hot-arm
 matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells and forms
 no N x N array: its validation, marginals and certificate read O(N)
 values, and the dense-order total to which the primal residual is pinned
-bit for bit is computed from the cells, in O(N + N^2 / 64) scratch. The
-dense entries are scattered only when a caller reads them.
+bit for bit is computed from the cells, in O(N) scratch besides the
+summation layout kept for the last N (8 bytes per node of 64 to 128
+entries: 64 KB at N = 1024, 8 MB at N = 10^4). The dense entries are
+scattered only when a caller reads them.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .core import (
     SUM_RTOL,
@@ -151,19 +152,27 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
         )
     eps = (float(s[hot]) - 1.0) / (2.0 * (n - 1))
     # Row-major cells: (i, hot) for i < hot, the hot row, (i, hot) for i > hot.
-    cold = np.delete(np.arange(n), hot)
-    at_hot = np.full(n - 1, hot)
-    rows = np.concatenate([cold[:hot], at_hot, cold[hot:]])
-    cols = np.concatenate([at_hot[:hot], cold, at_hot[hot:]])
-    vals = np.concatenate([inst.a[:hot], inst.b[cold], inst.a[hot + 1:]]) + eps
+    below = hot + n - 1  # where the cells below the hot row start
+    rows = np.empty(2 * n - 2, dtype=np.intp)
+    cols = np.empty(2 * n - 2, dtype=np.intp)
+    vals = np.empty(2 * n - 2)
+    rows[:hot] = cols[hot:2 * hot] = np.arange(hot)
+    rows[below:] = cols[2 * hot:below] = np.arange(hot + 1, n)
+    rows[hot:below] = cols[:hot] = cols[below:] = hot
+    vals[:hot], vals[hot:2 * hot] = inst.a[:hot], inst.b[:hot]
+    vals[2 * hot:below], vals[below:] = inst.b[hot + 1:], inst.a[hot + 1:]
+    vals += eps
     return JointSelectionMatrix(Cells(n, rows, cols, vals), 1.0)
 
 
-def _extremes(v: Vec) -> NDArray[np.intp]:
-    """Positions of the two smallest and the two largest entries of v (all of v if short)."""
-    if v.size <= 4:
-        return np.arange(v.size)
-    return np.argpartition(v, (1, v.size - 2))[[0, 1, -2, -1]]
+def _extremes(v: Vec, skip: int) -> list[int]:
+    """Positions of v but ``skip`` that hold the two smallest and the two
+    largest entries off ``skip``, and perhaps one or two more: those of the
+    three smallest and three largest entries of v (all of v if short)."""
+    picks = range(v.size)
+    if v.size > 6:
+        picks = np.argpartition(v, (2, v.size - 3))[[0, 1, 2, -3, -2, -1]].tolist()
+    return [i for i in picks if i != skip]
 
 
 def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate:
@@ -178,35 +187,37 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     constant on each block (hot row, hot column, cold x cold), and float
     rounding is monotone, so each block's largest stationarity term sits
     at an extreme pair: the two largest or two smallest ga and gb over its
-    rows and columns, i != j. Slackness needs only the largest cell off
-    the hot row and column. Each term is computed with the same float
-    operations as the dense form, so the residuals equal it bit for bit.
+    rows and columns, i != j. A few more pairs are taken in, which leaves
+    the max as it is. Slackness needs only the largest cell off the hot
+    row and column. Each term is computed with the same float operations
+    as the dense form, so the residuals equal it bit for bit.
     The marginals, minimum and total are the matrix's own, taken once; the
     dense entries are not read.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
     s = inst.popularity
-    s_max = float(s.max())
+    hot = int(np.argmax(s))
+    s_max = float(s[hot])
     if s_max <= 1.0 + SUM_RTOL:
         raise NotApplicableError("KKT certificate only applies when max S > 1")
-    hot = int(np.argmax(s))
     eps = (s_max - 1.0) / (2.0 * (n - 1))
     mu = 2.0 * (n - 2) * eps
     lam_cold = 2.0 * n * eps
     ga, gb = _gradient_terms(m, inst)
 
-    cold = np.flatnonzero(np.arange(n) != hot)
-    rows = np.append(hot, cold[_extremes(ga[cold])])
-    cols = np.append(hot, cold[_extremes(gb[cold])])
-    lam = np.where((rows[:, None] != hot) & (cols[None, :] != hot), lam_cold, 0.0)
-    terms = np.abs(ga[rows][:, None] + gb[cols][None, :] - lam + mu)
-    stationarity = float(terms[rows[:, None] != cols[None, :]].max())
+    rows, cols = [hot, *_extremes(ga, hot)], [hot, *_extremes(gb, hot)]
+    stationarity = max(
+        abs(x + y - (lam_cold if i != hot and j != hot else 0.0) + mu)
+        for i, x in zip(rows, ga[rows].tolist())
+        for j, y in zip(cols, gb[cols].tolist())
+        if i != j
+    )
 
     # Cells are positive, and the region off the hot row and column also
     # holds zeros (its diagonal at least), so 0 starts the max.
     off_hot = (m.rows != hot) & (m.cols != hot)
-    slackness = abs(lam_cold * float(np.max(m.vals, where=off_hot, initial=0.0)))
+    slackness = abs(lam_cold * float(m.vals.max(where=off_hot, initial=0.0)))
     dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
     # The diagonal is exactly 0 by validation, so it adds no primal term.
     primal = max(max(0.0, -m.min_entry), abs(m.entry_sum - 1.0))
@@ -252,11 +263,10 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
     equals N/(2(N-1)) (S_max-1)^2 to float accuracy.
     """
     _require_unit_total(inst.total, "optimal satisfaction matrix")
-    s_max = float(inst.popularity.max())
-    if s_max <= 1.0 + SUM_RTOL:
+    hot = int(np.argmax(inst.popularity))
+    if inst.popularity[hot] <= 1.0 + SUM_RTOL:
         m = construct_zero_loss(inst)
         return OptimalResult(m, loss(m, inst), None, "zero-loss")
-    hot = int(np.argmax(inst.popularity))
     m = min_loss_matrix(inst, hot)
     cert = kkt_verify(inst, m)
     return OptimalResult(m, loss(m, inst), cert, "min-loss")

@@ -67,8 +67,9 @@ class MultiPreferences:
             raise ValidationError(f"need at least 2 players, got {m}")
         if n < 2:
             raise ValidationError(f"need at least 2 arms, got {n}")
-        w = _clean_weights(w, "multi-player weights")
-        sums = w.sum(axis=1)
+        w, _ = _clean_weights(w, "multi-player weights")
+        with np.errstate(over="ignore"):  # a sum past the float range misses 1 too
+            sums = w.sum(axis=1)
         bad = np.abs(sums - 1.0) > SUM_RTOL
         if np.any(bad):
             x = int(np.argmax(bad))

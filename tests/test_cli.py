@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from conftest import TABLE1_A, TABLE1_B
 HOT_A = [0.1, 0.1, 0.8]
 HOT_B = [0.0, 0.2, 0.8]
 GEO_A = [1 / 13, 3 / 13, 9 / 13]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture
@@ -459,6 +463,52 @@ def test_sample_non_numeric_matrix_exits_two(capsys, tmp_path, payload):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "validation"
+
+
+SAMPLE_10 = ["sample", "--seed", "1", "--draws", "10"]
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (SAMPLE_10, '{"n": 2, "total": NaN, "entries": [0, 0.7, 0.2, 0]}'),
+        (SAMPLE_10, '{"n": 2, "total": Infinity, "entries": [0, 0.5, 0.5, 0]}'),
+        (["construct"], '{"a": [0.5, 0.5], "b": [0.5, 0.5], "total": NaN}'),
+        (["verify", "--oracle"], '{"a": [0.5, 0.5], "b": [0.5, 0.5], "total": NaN}'),
+        (["construct"], '{"a": [0.5, 0.5], "b": [0.5, 0.5], "total": -Infinity}'),
+    ],
+    ids=["sample-nan", "sample-inf", "construct-nan", "verify-nan", "construct-minus-inf"],
+)
+def test_a_non_finite_total_exits_two(capsys, tmp_path, command, text):
+    # json reads NaN and Infinity; no comparison with NaN fails, so a NaN
+    # total once let a matrix summing to 0.9 through.
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "validation", "message": '"total" must be finite'}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["construct"], {"a": [1e308, 1e308, 0], "b": [0.3, 0.3, 0.4]}),
+        (SAMPLE_10, {"n": 2, "entries": [0, 1e308, 1e308, 0]}),
+        (["feasibility"], {"players": [[1e308, 1e308], [0.5, 0.5]]}),
+    ],
+    ids=["weights", "entries", "players"],
+)
+def test_a_sum_past_the_float_range_prints_one_json_object(command, payload):
+    # In a fresh process numpy's warnings print, so an overflow warning
+    # would show on stderr ahead of the error object.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "jointselect.cli", command[0], "-", *command[1:]],
+                          input=json.dumps(payload), capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "total-mismatch"
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,67 @@ def test_validate_instance_rejects_non_finite():
         validate_instance([np.nan, 1.0], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "a",
+    [[np.inf, 0.5, 0.5], [np.nan, -1.0, 2.0], [-np.inf, 0.5, 0.5], [0.5, 0.5, np.inf]],
+    ids=["+inf", "nan-before-negative", "-inf", "+inf-last"],
+)
+def test_non_finite_weights_are_reported_before_negative_ones(a):
+    with pytest.raises(ValidationError, match="non-finite") as exc:
+        validate_instance(a, [0.4, 0.3, 0.3])
+    assert not isinstance(exc.value, NegativeWeightError)
+
+
+def test_weights_within_the_clamp_become_positive_zero():
+    inst = validate_instance([0.5, -1e-13, 0.5], [-0.0, 0.5, 0.5])
+    assert inst.a.tolist() == [0.5, 0.0, 0.5] and inst.b.tolist() == [0.0, 0.5, 0.5]
+    assert not np.signbit(inst.a).any() and not np.signbit(inst.b).any()
+    assert not inst.a.flags.writeable and not inst.b.flags.writeable
+
+
+@pytest.mark.parametrize("a", [[0.25, 0.75], [-0.0, 1.0], [-1e-13, 1.0]])
+def test_a_callers_weight_array_stays_writable_and_unchanged(a):
+    given = np.array(a)
+    before = given.tobytes()
+    inst = validate_instance(given, [0.5, 0.5])
+    assert given.flags.writeable and given.tobytes() == before
+    assert inst.a is not given and not np.shares_memory(inst.a, given)
+
+
+@pytest.mark.parametrize("total", [np.nan, np.inf, -np.inf])
+def test_non_finite_totals_are_a_validation_error(total):
+    with pytest.raises(ValidationError, match="finite"):
+        validate_instance([0.5, 0.5], [0.5, 0.5], total=total)
+    with pytest.raises(ValidationError, match="finite"):
+        JointSelectionMatrix(np.array([[0.0, 0.7], [0.2, 0.0]]), total)
+    with pytest.raises(ValidationError, match="finite"):
+        JointSelectionMatrix(core.Cells(2, [0, 1], [1, 0], [0.5, 0.5]), total)
+    with pytest.raises(ValidationError, match="finite"):
+        instance_from_json({"a": [0.5, 0.5], "b": [0.5, 0.5], "total": total})
+    with pytest.raises(ValidationError, match="finite"):
+        matrix_from_json({"n": 2, "total": total, "entries": [0, 0.5, 0.5, 0]})
+    with pytest.raises(TotalNotOneError):
+        core._require_unit_total(total, "sampling")
+
+
+def test_sums_past_the_float_range_are_a_total_mismatch_without_a_warning():
+    # Warnings are errors under the test settings, so an overflow warning
+    # would fail these before the mismatch is raised.
+    with pytest.raises(TotalMismatchError, match="sum to inf"):
+        validate_instance([1e308, 1e308, 0.0], [0.3, 0.3, 0.4])
+    with pytest.raises(TotalMismatchError, match="sum to inf"):
+        JointSelectionMatrix(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    with pytest.raises(TotalMismatchError, match="sum to inf"):
+        JointSelectionMatrix(core.Cells(3, [0, 1, 2], [1, 2, 0], [1e308, 1e308, 1e308]))
+    with pytest.raises(TotalMismatchError, match="sum to inf"):
+        validate_multi([[1e308, 1e308], [0.5, 0.5]])
+
+
+def test_a_json_total_past_the_float_range_is_a_validation_error():
+    with pytest.raises(ValidationError, match="finite"):
+        instance_from_json({"a": [0.5, 0.5], "b": [0.5, 0.5], "total": 10**400})
+
+
 @given(
     raw_a=arrays(np.float64, 5, elements=st.floats(1e-3, 1.0)),
     raw_b=arrays(np.float64, 5, elements=st.floats(1e-3, 1.0)),

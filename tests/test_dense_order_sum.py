@@ -8,6 +8,7 @@ array. A numpy that changes its summation order fails here first.
 
 from __future__ import annotations
 
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointselect.core import _dense_order_sum
+from jointselect.core import _dense_order_sum, _layout
 
 
 def pairwise(a: dict[int, float], live: list[int], lo: int, n: int) -> float:
@@ -152,3 +153,60 @@ def test_totals_and_row_sums_equal_numpy_bit_for_bit(matrix):
     for i in range(n):
         row = rows == i
         assert_same_float(_dense_order_sum(n, cols[row], vals[row]), want[i])
+
+
+# A length whose nodes hold 8 chunks (pairs of them are one block), and one
+# whose last node of 16 chunks also holds the tail and is split.
+PAIRED_LENGTH = 46 * 46
+SPLIT_LENGTH = 128 * 1024 + 5
+
+
+def test_the_kept_layout_is_read_only():
+    for length in (1024 * 1024, PAIRED_LENGTH):
+        layout = _layout(length)
+        for x in (layout.ends, layout.whole):
+            if x is not None:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[0] = x[0]
+
+
+def test_a_kept_layout_gives_the_bits_of_a_fresh_one():
+    assert _layout(PAIRED_LENGTH).whole is not None
+    assert _layout(SPLIT_LENGTH).split
+    rng = np.random.default_rng(47)
+    lengths = [1024 * 1024, 1000 * 1000, 1024 * 1024, PAIRED_LENGTH, SPLIT_LENGTH,
+               SPLIT_LENGTH, PAIRED_LENGTH]
+    cases = []
+    for length in lengths:
+        n = int(round(length**0.5))
+        scattered = np.sort(rng.choice(length, size=300, replace=False))
+        for pos in (hot_arm_positions(n, int(rng.integers(n))) % length, scattered,
+                    np.arange(length - 9, length)):
+            pos = np.unique(pos)  # hot-arm positions past a length that is not square wrap
+            cases.append((length, pos, spread_values(rng, pos.size)))
+    kept = [_dense_order_sum(*case) for case in cases]
+    fresh = []
+    for case in cases:
+        _layout.cache_clear()
+        fresh.append(_dense_order_sum(*case))
+    for (length, pos, vals), x, y in zip(cases, kept, fresh):
+        assert_same_float(x, y)
+        assert_same_float(x, float(dense(length, pos, vals).sum()))
+
+
+def test_a_second_call_at_one_length_allocates_no_node_array():
+    # The layout of the last length is kept; a call with few cells then
+    # needs scratch for its cells alone, well below one float per node.
+    length = 1024 * 1024
+    pos, vals = np.array([5, 70_000, 900_001]), np.array([0.25, 0.5, 0.25])
+    first = _dense_order_sum(length, pos, vals)
+    nodes = 1 << _layout(length).depth
+    tracemalloc.start()
+    try:
+        second = _dense_order_sum(length, pos, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_same_float(first, second)
+    assert peak < 8 * nodes

@@ -148,6 +148,36 @@ def test_min_loss_matrix_total_conflict():
     assert loss(m, inst) == pytest.approx(n / (2.0 * (n - 1)), abs=1e-15)
 
 
+def concatenated_cells(inst, hot: int):
+    """The hot-arm cells as three concatenations: (i, hot) for i < hot, the
+    hot row, (i, hot) for i > hot."""
+    n = inst.n
+    eps = (float(inst.popularity[hot]) - 1.0) / (2.0 * (n - 1))
+    cold = np.delete(np.arange(n), hot)
+    at_hot = np.full(n - 1, hot)
+    rows = np.concatenate([cold[:hot], at_hot, cold[hot:]])
+    cols = np.concatenate([at_hot[:hot], cold, at_hot[hot:]])
+    vals = np.concatenate([inst.a[:hot], inst.b[cold], inst.a[hot + 1:]]) + eps
+    return rows, cols, vals
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 17, 1024])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_min_loss_matrix_cells_equal_their_concatenated_form(n, where):
+    hot = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    rng = np.random.default_rng([n, hot])
+    s_hot = 1.9 - 0.9 * rng.random() + 1e-8
+    x = rng.uniform(s_hot - 1.0, 1.0)
+    a = np.insert((1.0 - x) * rng.dirichlet(np.ones(n - 1)), hot, x)
+    b = np.insert((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), hot, s_hot - x)
+    inst = validate_instance(a, b)
+    m = min_loss_matrix(inst, hot)
+    rows, cols, vals = concatenated_cells(inst, hot)
+    assert m.rows.tobytes() == rows.astype(np.intp).tobytes()
+    assert m.cols.tobytes() == cols.astype(np.intp).tobytes()
+    assert m.vals.tobytes() == vals.tobytes()
+
+
 def test_min_loss_matrix_rejects_cool_instance(table1):
     with pytest.raises(NotApplicableError):
         min_loss_matrix(table1, hot=0)
