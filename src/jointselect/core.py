@@ -116,7 +116,9 @@ def _layout(length: int) -> _Layout:
 
     It depends on the length alone, so the last one is kept: its arrays,
     read-only, take about 8 bytes per node, 2**depth nodes of 64 to 128
-    elements each (64 KB for length 1024**2, 8 MB for 10**8).
+    elements each (64 KB for length 1024**2, 8 MB for 10**8). It is held
+    until a call with another length replaces it; ``_layout.cache_clear()``
+    frees it.
     """
     chunks, tail = divmod(length, 8)
     # Counted in chunks of 8 elements, a run of c chunks splits into c >> 1
@@ -137,14 +139,6 @@ def _layout(length: int) -> _Layout:
     return _Layout(depth, ends, whole, bool(tail) and q + big[-1] == 16)
 
 
-def _run_starts(key: NDArray[np.intp]) -> NDArray[np.bool_]:
-    """Where each run of equal values of ``key``, which is not empty, starts."""
-    first = np.empty(key.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    return first
-
-
 def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     """``float(a.sum())`` of the float64 array ``a`` of this length that holds
     ``vals`` at the strictly increasing positions ``pos`` and 0 elsewhere.
@@ -158,15 +152,16 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     length % 8 elements left over, one by one. A longer run is split at
     8 * floor(length / 16) and its two halves are added. A zero leaves a
     nonzero partial sum as it is, and numpy's result starts from +0.0, so
-    the zeros of ``a`` are left out. The blocks of a length are its
-    `_layout`, kept for the last length; besides it, scratch memory is
-    O(pos.size).
+    the zeros of ``a`` are left out. Scratch memory is O(pos.size +
+    length / 64). The blocks of a length are its `_layout`, which is kept
+    for the last length: about length / 8 bytes.
     """
     if pos.size == 0:
         return 0.0
     depth, ends, whole, split = _layout(length)
     chunks, tail = divmod(length, 8)
-    inner = int(np.searchsorted(pos, 8 * chunks)) if tail else pos.size  # the cells before the tail
+    # the cells before the tail
+    inner = int(np.searchsorted(pos, 8 * chunks)) if tail else pos.size
     chunk = pos[:inner] >> 3
     node = np.searchsorted(ends, chunk, side="right")
     # Each block gets a key that grows with position: 2k for node k, 4j for
@@ -180,7 +175,9 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     if split:
         block += chunk >= chunks - 8
     key[inner:] = (2 << depth) - 2 + split
-    first = _run_starts(key)
+    first = np.empty(pos.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
     live = key[first]
     rank = np.add.accumulate(first, dtype=np.intp)  # 1 + the block of each cell
     # bincount adds the weights of one bin in input order, from +0.0; its
@@ -192,20 +189,9 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     sums = lanes.ravel()
     for x in vals[inner:].tolist():  # the tail, in the last block
         sums[-1] += x
-    # The nodes are added in pairs, level by level. A node that holds no
-    # block is +0.0, and no node's sum is -0.0 (bincount starts from +0.0),
-    # so a node without a sibling passes up as it is: while a level is more
-    # than 8 times as wide as the sums it holds, only those are kept.
-    node, width = live >> 1, 1 << depth
-    while width > 8 * node.size:
-        first = _run_starts(node)
-        sums = np.bincount(np.add.accumulate(first, dtype=np.intp), sums)[1:]
-        node = node[first] >> 1
-        width >>= 1
-    nodes = np.bincount(node, sums, width)
-    while width > 1:
+    nodes = np.bincount(live >> 1, sums, 1 << depth)
+    for _ in range(depth):
         nodes = nodes[0::2] + nodes[1::2]
-        width >>= 1
     return float(nodes[0])
 
 
@@ -221,12 +207,17 @@ def _json_total(obj: dict) -> float:
     total = obj.get("total", 1.0)
     if not isinstance(total, (int, float)) or isinstance(total, bool):
         raise ValidationError('"total" must be a number')
+    return total
+
+
+def _finite_total(total: float) -> float:
+    """``float(total)``, or ValidationError for NaN, +-inf or an int past the float range."""
     try:
         if isfinite(total):  # json reads NaN and Infinity
             return float(total)
-    except OverflowError:  # an int past the float range
+    except OverflowError:
         pass
-    raise ValidationError('"total" must be finite')
+    raise ValidationError("total must be a finite number")
 
 
 def _clean_weights(w: NDArray[np.float64], what: str) -> tuple[Vec, float]:
@@ -250,17 +241,17 @@ def _clean_weights(w: NDArray[np.float64], what: str) -> tuple[Vec, float]:
     return w, hi
 
 
-def _sum(x: Vec, hi: float) -> float:
-    """``float(x.sum())`` of nonnegative values no larger than ``hi``.
+def _sum(x: NDArray[np.float64], hi: float, axis: int | None = None):
+    """``x.sum(axis)`` of nonnegative values no larger than ``hi``.
 
     A sum past the float range misses any finite total, so it is inf
     without numpy's overflow warning. The warning is switched off only
-    where the sum could overflow, as switching it costs more than the sum.
+    where a sum could overflow, as switching it costs more than the sum.
     """
-    if hi * x.size < _NO_OVERFLOW:
-        return float(x.sum())
+    if hi * (x.size if axis is None else x.shape[axis]) < _NO_OVERFLOW:
+        return x.sum(axis)
     with np.errstate(over="ignore"):
-        return float(x.sum())
+        return x.sum(axis)
 
 
 def _rescale(w_sum: float, total: float) -> float | None:
@@ -319,22 +310,21 @@ class ProblemInstance:
             )
         if a.size < 2:
             raise ValidationError(f"preference weights needs at least 2 arms, got {a.size}")
+        total = _finite_total(self.total)
+        if total < -ENTRY_CLAMP:
+            raise ValidationError(f"total must be nonnegative, got {total}")
         given = []
         for name, w in (("a", a), ("b", b)):
             w, hi = _clean_weights(w, "preference weights")
             given.append(w)
-            if not isfinite(self.total):
-                raise ValidationError(f"total must be finite, got {self.total}")
-            if self.total < -ENTRY_CLAMP:
-                raise ValidationError(f"total must be nonnegative, got {self.total}")
-            scale = _rescale(_sum(w, hi), self.total)
+            scale = _rescale(float(_sum(w, hi)), total)
             if scale is not None:
                 w = w * scale
                 w.setflags(write=False)
             object.__setattr__(self, name, w)
         s = self.a + self.b
         s.setflags(write=False)
-        object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "popularity", s)
         object.__setattr__(self, "given", tuple(given))
 
@@ -505,8 +495,7 @@ class JointSelectionMatrix:
             key = np.flatnonzero(dense)  # NaN is not 0, so it stays a cell
             entries = Cells(n, *np.divmod(key, n), dense.ravel()[key])
         n, lo, hi, cells, placed = _cell_store(entries)
-        if not isfinite(total):
-            raise ValidationError(f"total must be finite, got {total}")
+        total = _finite_total(total)
         entry_sum = None
         if dense is not None:
             if np.count_nonzero(entries.vals < 0.0):  # clamped: copy, then write +0.0
@@ -514,8 +503,8 @@ class JointSelectionMatrix:
                 dense.ravel()[placed[0]] = placed[1]
                 dense.setflags(write=False)
             object.__setattr__(self, "entries", dense)
-            entry_sum = _sum(dense, hi)
-        elif not _surely_within(_sum(placed[1], hi), total):  # the cells in their own order
+            entry_sum = float(_sum(dense, hi))
+        elif not _surely_within(float(_sum(placed[1], hi)), total):  # the cells in their own order
             with np.errstate(over="ignore"):  # it overflows where the cells' sum did
                 entry_sum = _dense_order_sum(n * n, *placed)
         if entry_sum is not None and abs(entry_sum - total) > _tol(total):
@@ -526,7 +515,7 @@ class JointSelectionMatrix:
             x.setflags(write=False)
             object.__setattr__(self, name, x)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "total", float(total))
+        object.__setattr__(self, "total", total)
         object.__setattr__(self, "min_entry", lo)
         object.__setattr__(self, "_placed", placed)
         if entry_sum is not None:

@@ -20,10 +20,10 @@ is built only when a caller reads `KktCertificate.lam`. The hot-arm
 matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells and forms
 no N x N array: its validation, marginals and certificate read O(N)
 values, and the dense-order total to which the primal residual is pinned
-bit for bit is computed from the cells, in O(N) scratch besides the
-summation layout kept for the last N (8 bytes per node of 64 to 128
-entries: 64 KB at N = 1024, 8 MB at N = 10^4). The dense entries are
-scattered only when a caller reads them.
+bit for bit is computed from the cells, in O(N + N^2/64) scratch (one
+float per summation node of 64 to 128 entries) besides the summation
+layout kept for the last N (8 bytes per node: 64 KB at N = 1024, 8 MB at
+N = 10^4). The dense entries are scattered only when a caller reads them.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT

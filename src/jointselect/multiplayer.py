@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats
+from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _sum
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -67,9 +67,8 @@ class MultiPreferences:
             raise ValidationError(f"need at least 2 players, got {m}")
         if n < 2:
             raise ValidationError(f"need at least 2 arms, got {n}")
-        w, _ = _clean_weights(w, "multi-player weights")
-        with np.errstate(over="ignore"):  # a sum past the float range misses 1 too
-            sums = w.sum(axis=1)
+        w, hi = _clean_weights(w, "multi-player weights")
+        sums = _sum(w, hi, axis=1)
         bad = np.abs(sums - 1.0) > SUM_RTOL
         if np.any(bad):
             x = int(np.argmax(bad))

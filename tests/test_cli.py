@@ -487,7 +487,7 @@ def test_a_non_finite_total_exits_two(capsys, tmp_path, command, text):
     code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert code == 2
     assert out == ""
-    assert json.loads(err) == {"error": "validation", "message": '"total" must be finite'}
+    assert json.loads(err) == {"error": "validation", "message": "total must be a finite number"}
 
 
 @pytest.mark.parametrize(

@@ -195,18 +195,25 @@ def test_a_kept_layout_gives_the_bits_of_a_fresh_one():
         assert_same_float(x, float(dense(length, pos, vals).sum()))
 
 
-def test_a_second_call_at_one_length_allocates_no_node_array():
-    # The layout of the last length is kept; a call with few cells then
-    # needs scratch for its cells alone, well below one float per node.
-    length = 1024 * 1024
-    pos, vals = np.array([5, 70_000, 900_001]), np.array([0.25, 0.5, 0.25])
-    first = _dense_order_sum(length, pos, vals)
-    nodes = 1 << _layout(length).depth
+def _traced_peak(*args) -> tuple[float, int]:
     tracemalloc.start()
     try:
-        second = _dense_order_sum(length, pos, vals)
-        _, peak = tracemalloc.get_traced_memory()
+        x = _dense_order_sum(*args)
+        return x, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_a_second_call_at_one_length_does_not_rebuild_the_layout():
+    # Building a layout peaks at 20 to 25 bytes per node (the bit-reversed
+    # indices and the cumsum); a call on a kept one needs its node sums, 8
+    # bytes per node, and their first halving, 4 more.
+    length = 1024 * 1024
+    pos, vals = np.array([5, 70_000, 900_001]), np.array([0.25, 0.5, 0.25])
+    _layout.cache_clear()
+    nodes = 1 << _layout(length).depth
+    _layout.cache_clear()
+    first, built = _traced_peak(length, pos, vals)
+    second, kept = _traced_peak(length, pos, vals)
     assert_same_float(first, second)
-    assert peak < 8 * nodes
+    assert kept < 16 * nodes < built
