@@ -25,7 +25,6 @@ def uniform_random(n: int) -> JointSelectionMatrix:
         raise ValidationError(f"need at least 2 arms, got {n}")
     entries = np.full((n, n), 1.0 / (n * (n - 1)))
     np.fill_diagonal(entries, 0.0)
-    entries.setflags(write=False)
     return JointSelectionMatrix(entries, 1.0)
 
 
@@ -44,7 +43,6 @@ def simultaneous_renormalization(inst: ProblemInstance) -> JointSelectionMatrix:
             "all off-diagonal preference products vanish; renormalization undefined"
         )
     products /= denom
-    products.setflags(write=False)
     return JointSelectionMatrix(products, 1.0)
 
 
@@ -74,7 +72,6 @@ def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
 
     entries = 0.5 * (first_a + first_b)
     np.fill_diagonal(entries, 0.0)
-    entries.setflags(write=False)
     return JointSelectionMatrix(entries, 1.0)
 
 

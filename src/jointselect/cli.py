@@ -216,6 +216,8 @@ def cmd_verify(args) -> int:
         raise ValidationError("choose at least one of --kkt, --oracle, --convexity")
     if (args.kkt or args.oracle) and args.input is None:
         raise ValidationError("--kkt and --oracle need an input preference file")
+    if args.matrix is not None and not args.kkt:
+        raise ValidationError("--matrix is read only by --kkt")
     inst = None
     if args.input is not None:
         inst = instance_from_json(_read_json(args.input))
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--convexity", action="store_true")
     p.add_argument("--matrix", default=None,
-                   help="verify this matrix JSON instead of the built one (--kkt)")
+                   help="with --kkt: verify this matrix JSON instead of the built one")
     p.add_argument("--tol", type=float, default=1e-10, help="oracle tolerance")
     p.add_argument("--n", type=int, default=None, help="dimension for --convexity")
     p.add_argument("--trials", type=int, default=1000)

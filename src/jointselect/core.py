@@ -20,11 +20,11 @@ A JointSelectionMatrix is stored as its nonzero off-diagonal cells
 (rows, cols, vals) in row-major order: the package's builders hand over
 the cells they already know (a `Cells` value), and validation, marginals,
 certificates and sampling read those. Dense entries, given instead, enter
-as the cells of their entries that are not 0, so one validator
-(`_cell_store`) checks every matrix. A matrix built from cells forms no
-N x N array: its dense `entries` is scattered on first read, for the
-output formats, and its total in numpy's dense order is computed from the
-cells by a replica of numpy's pairwise summation (`_dense_order_sum`).
+as the cells of every entry that is not +0.0 and are not kept, so one
+validator (`_cell_store`) checks every matrix. A matrix forms no N x N
+array: its dense `entries` is scattered on first read, for the output
+formats, and its total in numpy's dense order is computed from the cells
+by a replica of numpy's pairwise summation (`_dense_order_sum`).
 """
 
 from __future__ import annotations
@@ -313,16 +313,21 @@ class ProblemInstance:
         total = _finite_total(self.total)
         if total < -ENTRY_CLAMP:
             raise ValidationError(f"total must be nonnegative, got {total}")
-        given = []
+        given, top = [], 0.0  # top: the sum of the two largest weights
         for name, w in (("a", a), ("b", b)):
             w, hi = _clean_weights(w, "preference weights")
             given.append(w)
+            top += hi
             scale = _rescale(float(_sum(w, hi)), total)
             if scale is not None:
                 w = w * scale
                 w.setflags(write=False)
             object.__setattr__(self, name, w)
-        s = self.a + self.b
+        if top < _NO_OVERFLOW:
+            s = self.a + self.b
+        else:  # a popularity past the float range is inf, without numpy's warning
+            with np.errstate(over="ignore"):
+                s = self.a + self.b
         s.setflags(write=False)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "popularity", s)
@@ -357,22 +362,14 @@ class Cells(NamedTuple):
     vals: ArrayLike
 
 
-def _square(e) -> Mat:
-    """Dense entries as a square read-only float64 array: adopted if already one
-    that owns its data and is C-contiguous, else copied."""
-    adopted = (
-        type(e) is np.ndarray
-        and e.dtype == np.float64
-        and e.flags.c_contiguous
-        and e.base is None
-        and not e.flags.writeable
-    )
-    if not adopted:
-        e = np.array(e, dtype=np.float64)
-        e.setflags(write=False)
+def _dense_cells(e) -> Cells:
+    """Dense entries as the cells of every entry whose bits are not those of
+    +0.0: NaN stays a cell for the validator to see, and -0.0 stays -0.0."""
+    e = np.asarray(e, dtype=np.float64, order="C")
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {e.shape}")
-    return e
+    key = np.flatnonzero(e.view(np.int64))
+    return Cells(e.shape[0], *np.divmod(key, e.shape[0]), e.ravel()[key])
 
 
 def _positions(x, n: int) -> NDArray[np.intp]:
@@ -452,30 +449,26 @@ class JointSelectionMatrix:
     The matrix is stored as ``rows``, ``cols`` and ``vals``: its nonzero
     off-diagonal cells in row-major order, as read-only arrays. Give it
     either those cells, as a ``Cells(n, rows, cols, vals)`` value, or the
-    dense entries, which enter as the cells of their entries that are not
-    0 (NaN among them). One validator (`_cell_store`) checks both, in one
-    order: non-finite values, the clamp, the diagonal, the total. After
-    the clamp every diagonal entry must be exactly 0; cells of value 0,
-    on the diagonal or off it, are then dropped.
+    dense entries, which enter as the cells of every entry that is not
+    +0.0 (NaN and -0.0 among them) and are not kept. One validator
+    (`_cell_store`) checks both, in one order: non-finite values, the
+    clamp, the diagonal, the total. After the clamp every diagonal entry
+    must be exactly 0; cells of value 0, on the diagonal or off it, are
+    then dropped.
 
-    ``entries`` is the dense read-only array. Dense input is kept as it
-    is: a float64, C-contiguous ndarray that owns its data and is already
-    read-only is adopted (the owner must not make it writable again), and
-    any other is copied; where the clamp changed an entry, a copy holds
-    +0.0 there. From cells, no N x N array is formed until ``entries`` is
-    first read; it is then scattered from the cells as validated, zero
-    cells included (a -0.0 cell stays -0.0, a clamped one is +0.0), and
-    kept.
+    ``entries`` is the dense read-only array. No N x N array is formed
+    until it is first read; it is then scattered from the cells as
+    validated, zero cells included (a -0.0 cell stays -0.0, a clamped one
+    is +0.0), and kept.
 
     ``min_entry`` is the minimum entry. ``entry_sum`` is
-    ``float(entries.sum())``, the total in numpy's dense order: dense
-    input takes it from the entries, and cells get it on first read from a
-    replica of numpy's pairwise summation that needs no dense array. The
-    total check passes cells on their own sum when every sum within a
-    proven error band of it (_SUM_BAND) would pass; otherwise it computes
-    ``entry_sum`` and decides, and words its message, on that, as it does
-    for dense input. ``marginals`` (row sums, column sums) is computed from
-    the cells on first read and kept. ``==`` and ``hash`` go by identity.
+    ``float(entries.sum())``, the total in numpy's dense order, computed
+    on first read by a replica of numpy's pairwise summation that needs no
+    dense array. The total check passes on the cells' own sum when every
+    sum within a proven error band of it (_SUM_BAND) would pass; otherwise
+    it computes ``entry_sum`` and decides, and words its message, on that.
+    ``marginals`` (row sums, column sums) is computed from the cells on
+    first read and kept. ``==`` and ``hash`` go by identity.
     """
 
     n: int
@@ -488,29 +481,18 @@ class JointSelectionMatrix:
     _placed: tuple[NDArray[np.intp], Vec] = field(repr=False)
 
     def __init__(self, entries: Mat | Cells, total: float = 1.0) -> None:
-        dense = None
         if not isinstance(entries, Cells):
-            dense = _square(entries)
-            n = dense.shape[0]
-            key = np.flatnonzero(dense)  # NaN is not 0, so it stays a cell
-            entries = Cells(n, *np.divmod(key, n), dense.ravel()[key])
+            entries = _dense_cells(entries)
         n, lo, hi, cells, placed = _cell_store(entries)
         total = _finite_total(total)
-        entry_sum = None
-        if dense is not None:
-            if np.count_nonzero(entries.vals < 0.0):  # clamped: copy, then write +0.0
-                dense = dense.copy()
-                dense.ravel()[placed[0]] = placed[1]
-                dense.setflags(write=False)
-            object.__setattr__(self, "entries", dense)
-            entry_sum = float(_sum(dense, hi))
-        elif not _surely_within(float(_sum(placed[1], hi)), total):  # the cells in their own order
+        if not _surely_within(float(_sum(placed[1], hi)), total):  # the cells in their own order
             with np.errstate(over="ignore"):  # it overflows where the cells' sum did
                 entry_sum = _dense_order_sum(n * n, *placed)
-        if entry_sum is not None and abs(entry_sum - total) > _tol(total):
-            raise TotalMismatchError(
-                f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"
-            )
+            if abs(entry_sum - total) > _tol(total):
+                raise TotalMismatchError(
+                    f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"
+                )
+            object.__setattr__(self, "entry_sum", entry_sum)
         for name, x in zip(("rows", "cols", "vals"), cells):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
@@ -518,8 +500,6 @@ class JointSelectionMatrix:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "min_entry", lo)
         object.__setattr__(self, "_placed", placed)
-        if entry_sum is not None:
-            object.__setattr__(self, "entry_sum", entry_sum)
 
     @cached_property
     def entries(self) -> Mat:
@@ -735,15 +715,15 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f'"n" must be an integer >= 2, got {n!r}')
     entries = _floats(obj["entries"], '"entries"')
+    if entries.ndim != 1:
+        raise ValidationError(
+            f'"entries" must be a flat row-major list, got shape {entries.shape}'
+        )
     if entries.size != n * n:
         raise ValidationError(
             f'"entries" must hold n*n = {n * n} reals, got {entries.size}'
         )
-    # Reshaped in place, the array still owns its data, so the matrix
-    # adopts it instead of copying.
-    entries.resize((n, n))
-    entries.setflags(write=False)
-    return JointSelectionMatrix(entries, _json_total(obj))
+    return JointSelectionMatrix(entries.reshape(n, n), _json_total(obj))
 
 
 def matrix_to_csv(m: JointSelectionMatrix) -> str:

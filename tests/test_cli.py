@@ -374,6 +374,24 @@ def test_verify_kkt_matrix_of_other_size_exits_two(capsys, tmp_path):
     assert stderr_error(err)["error"] == "dimension-mismatch"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--oracle", "--matrix", "{matrix}"], ["--convexity", "--n", "3", "--matrix", "{missing}"]],
+    ids=["oracle", "convexity-missing-file"],
+)
+def test_verify_matrix_without_kkt_exits_two(capsys, tmp_path, argv):
+    # Only --kkt reads the matrix; given to another section, it would be ignored.
+    pref = tmp_path / "geo.json"
+    pref.write_text(json.dumps({"a": GEO_A, "b": GEO_A}))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(matrix_to_json(uniform_random(3))))
+    paths = {"matrix": str(matrix), "missing": str(tmp_path / "missing.json")}
+    code, out, err = run(capsys, "verify", str(pref), *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "validation", "message": "--matrix is read only by --kkt"}
+
+
 def test_verify_convexity_standalone(capsys):
     code, out, _ = run(capsys, "verify", "--convexity", "--n", "4")
     assert code == 0
@@ -465,6 +483,19 @@ def test_sample_non_numeric_matrix_exits_two(capsys, tmp_path, payload):
     assert json.loads(err)["error"] == "validation"
 
 
+def test_sample_nested_entries_exit_two(capsys, tmp_path):
+    # The format is a flat row-major list, as a weight vector is 1-D.
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[0, 0.5], [0.5, 0]]}))
+    code, out, err = run(capsys, "sample", str(path), "--seed", "1", "--draws", "10")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "validation",
+        "message": '"entries" must be a flat row-major list, got shape (2, 2)',
+    }
+
+
 SAMPLE_10 = ["sample", "--seed", "1", "--draws", "10"]
 
 
@@ -509,6 +540,19 @@ def test_a_sum_past_the_float_range_prints_one_json_object(command, payload):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"] == "total-mismatch"
+
+
+def test_a_popularity_past_the_float_range_prints_one_json_object():
+    # Each weight sums to the total, but A_0 + B_0 overflows; in a fresh
+    # process numpy's warning would print ahead of the error object.
+    payload = {"a": [1.5e308, 0], "b": [1.5e308, 0], "total": 1.5e308}
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "jointselect.cli", "construct", "-"],
+                          input=json.dumps(payload), capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "total-not-one"
 
 
 # --------------------------------------------------------------------------

@@ -342,9 +342,9 @@ def test_kkt_verify_allocates_no_dense_array():
 
 
 def test_hot_arm_dispatch_holds_one_dense_array():
-    # Growth pin: the answer's own N x N entries plus O(N). The builder hands
-    # its read-only array to JointSelectionMatrix, which adopts it instead of
-    # copying, and loss reuses the marginals kkt_verify took.
+    # Growth pin: no more than one N x N array. The builder hands its 2N - 2
+    # cells to JointSelectionMatrix, which forms no N x N array until its
+    # entries are read, and loss reuses the marginals kkt_verify took.
     n = 2048
     inst = hot_arm_instance(np.random.default_rng(6), n)
     tracemalloc.start()
