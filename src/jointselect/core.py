@@ -652,10 +652,13 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     Uniforms are drawn SAMPLE_CHUNK at a time, which continues the same
     stream, so the counts equal a one-shot draw while the working memory
     stays O(cells + buckets + SAMPLE_CHUNK) besides the N x N result.
-    Requires a unit total; the diagonal of the result is always 0.
+    Requires a unit total and a seed >= 0, as PCG64 takes; the diagonal
+    of the result is always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     _require_unit_total(m.total, "sampling")
     n = m.n
     cdf = np.cumsum(m.vals)

@@ -243,6 +243,8 @@ def convexity_check(n: int, trials: int = 1000, seed: int = 0) -> ConvexityRepor
         raise DimensionTooLargeError(f"convexity check is desk-scale (N <= 8), got {n}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     h = loss_hessian(n)
     d = h.shape[0]
     rng = np.random.default_rng(seed)

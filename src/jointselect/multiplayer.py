@@ -1,25 +1,24 @@
 """M-player generalization: joint tensors, popularity, and feasibility.
 
-With M >= 2 players sharing N arms, a conflict-free joint selection is a
-probability distribution over M-tuples of pairwise-distinct arms, stored
-sparsely since that support is factorially smaller than the dense tensor.
-Player x's satisfied preference pi_x(i) sums the entries whose x-th
-component is i, and the loss is the squared mismatch summed over players.
+With M >= 2 players on N arms, a conflict-free joint selection is a
+distribution over M-tuples of pairwise-distinct arms, stored as tuple
+arrays (`JointTensorSparse`). Player x's satisfied preference pi_x(i) sums
+the values whose x-th arm is i, one bincount per player; the loss is the
+squared mismatch summed over players.
 
-Popularity generalizes to S_i = sum over players of their weight on arm i.
-If any S_i > 1, zero loss is impossible (each unit of probability feeds
-arm i through at most one player, so the satisfied popularity of any arm
-is at most 1). The converse is proven only for M = 2; for M >= 3 it is an
-open conjecture, and the feasibility verdict says "conjectured" rather
-than overclaiming. `solve_multi_min_loss` runs the package's one
-projected-gradient loop (`oracle.descend`) over the tuple simplex to gather
-empirical evidence at desk scale; at M = 2 it is the two-player oracle.
+Popularity is S_i = sum over players of their weight on arm i. If some
+S_i > 1, zero loss is impossible for every M (each unit of probability
+feeds arm i through at most one player). The converse is proven only for
+M = 2, so for M >= 3 the verdict says "conjectured". `solve_multi_min_loss`
+runs the package's projected-gradient loop (`oracle.descend`) over the
+tuple simplex at desk scale; at M = 2 it is the two-player oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import permutations
 from types import MappingProxyType
 from typing import Mapping
@@ -27,7 +26,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ENTRY_CLAMP, SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _sum
+from .core import SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _positions, _sum
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
@@ -92,48 +91,56 @@ def validate_multi(rows) -> MultiPreferences:
     return MultiPreferences(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class JointTensorSparse:
-    """Sparse joint distribution over M-tuples of pairwise-distinct arms."""
+    """A distribution over M-tuples of pairwise-distinct arms, as tuple arrays.
 
-    entries: Mapping[tuple[int, ...], float]
+    Built from a ``{tuple: value}`` mapping or an ``(arms, vals)`` pair, kept
+    read-only in that order: ``arms`` K x M intp, ``vals`` K floats. Tuples
+    are distinct, with no arm twice (NonDistinctKeyError); values pass the
+    weight checks, sum to 1. ``entries`` is a mapping view; ``==`` is ``is``.
+    """
+
+    arms: NDArray[np.intp] = field(repr=False)
+    vals: Vec = field(repr=False)
     n_arms: int
     n_players: int
 
-    def __post_init__(self) -> None:
-        clean: dict[tuple[int, ...], float] = {}
-        total = 0.0
-        for key, value in self.entries.items():
-            key = tuple(int(c) for c in key)
-            if len(key) != self.n_players:
-                raise ValidationError(
-                    f"key {key} has {len(key)} components, need {self.n_players}"
-                )
-            if any(c < 0 or c >= self.n_arms for c in key):
-                raise ValidationError(f"key {key} has arm indices outside 0..{self.n_arms - 1}")
-            if len(set(key)) != len(key):
-                raise NonDistinctKeyError(
-                    f"key {key} repeats an arm: joint selections must be conflict-free"
-                )
-            v = float(value)
-            if v < -ENTRY_CLAMP:
-                raise ValidationError(f"entry {key} is negative: {v:.3e}")
-            v = max(v, 0.0)
-            clean[key] = v
-            total += v
+    def __init__(self, entries, n_arms: int, n_players: int) -> None:
+        if isinstance(entries, Mapping):
+            entries = list(entries), list(entries.values())
+        arms, vals = entries
+        vals = _floats(vals, "tensor values")
+        if not vals.size:  # the value checks need a value
+            raise TotalMismatchError("tensor entries sum to 0, need 1")
+        try:
+            arms = np.asarray(arms)
+        except ValueError:  # keys of different lengths, which fail the shape check
+            arms = np.zeros(0, np.intp)
+        arms = _positions(arms, n_arms)
+        if vals.ndim != 1 or arms.shape != (vals.size, n_players):
+            raise ValidationError(f"tensor needs one {n_players}-tuple of arms per value")
+        repeats = (np.diff(np.sort(arms, axis=1), axis=1) == 0).any(axis=1)
+        if repeats.any():
+            raise NonDistinctKeyError(f"key {arms[repeats.argmax()].tolist()} repeats an arm")
+        if len(np.unique(arms, axis=0)) < len(arms):
+            raise ValidationError("tensor keys must be distinct")
+        vals, hi = _clean_weights(vals, "tensor values")
+        total = float(_sum(vals, hi))
         if abs(total - 1.0) > SUM_RTOL:
             raise TotalMismatchError(f"tensor entries sum to {total:.17g}, need 1")
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+        arms.setflags(write=False)
+        vars(self).update(arms=arms, vals=vals, n_arms=n_arms, n_players=n_players)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], float]:
+        """The ``{tuple: value}`` mapping, read-only, in the order given."""
+        return MappingProxyType(dict(zip(map(tuple, self.arms.tolist()), self.vals.tolist())))
 
 
 def tensor_from_matrix(m: JointSelectionMatrix) -> JointTensorSparse:
-    """Two-player bridge: a joint selection matrix as a sparse tensor.
-
-    The tensor's entries are the matrix's cells, its nonzero off-diagonal
-    entries in row-major order.
-    """
-    entries = dict(zip(zip(m.rows.tolist(), m.cols.tolist()), m.vals.tolist()))
-    return JointTensorSparse(entries, m.n, 2)
+    """Two-player bridge: the matrix's cells, in row-major order, as a tensor."""
+    return JointTensorSparse((np.column_stack((m.rows, m.cols)), m.vals), m.n, 2)
 
 
 def feasibility_verdict(prefs: MultiPreferences) -> Feasibility:
@@ -170,11 +177,8 @@ def tensor_marginals(prefs: MultiPreferences, tensor: JointTensorSparse) -> NDAr
             f"tensor is {tensor.n_players} players x {tensor.n_arms} arms, "
             f"preferences are {prefs.n_players} x {prefs.n_arms}"
         )
-    pi = np.zeros((prefs.n_players, prefs.n_arms))
-    for key, value in tensor.entries.items():
-        for x, arm in enumerate(key):
-            pi[x, arm] += value
-    return pi
+    # bincount adds the values in entry order, as a loop over the entries would
+    return np.array([np.bincount(arms, tensor.vals, prefs.n_arms) for arms in tensor.arms.T])
 
 
 def multi_loss(prefs: MultiPreferences, tensor: JointTensorSparse) -> float:
@@ -208,14 +212,10 @@ def solve_multi_min_loss(
     m, n = prefs.n_players, prefs.n_arms
     if n < m:
         raise TooFewArmsError(f"{m} players need at least {m} arms, got {n}")
-    coords = list(permutations(range(n), m))
-    p, iterations, gap = descend(np.array(coords, dtype=np.intp), prefs.weights, tol, max_iter)
-    tensor = JointTensorSparse(
-        {coord: float(v) for coord, v in zip(coords, p)}, n, m
-    )
-    return MultiOracleResult(
-        tensor, multi_loss(prefs, tensor), iterations, gap, gap <= tol
-    )
+    coords = np.array(list(permutations(range(n), m)), dtype=np.intp)
+    p, iterations, gap = descend(coords, prefs.weights, tol, max_iter)
+    tensor = JointTensorSparse((coords, p), n, m)
+    return MultiOracleResult(tensor, multi_loss(prefs, tensor), iterations, gap, gap <= tol)
 
 
 __all__ = [

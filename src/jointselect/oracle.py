@@ -31,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import Cells, JointSelectionMatrix, ProblemInstance, Vec, _require_unit_total, loss
-from .errors import DimensionTooLargeError
+from .errors import DimensionTooLargeError, ValidationError
 
 MAX_ORACLE_ARMS = 12
 
@@ -63,7 +63,11 @@ def descend(
     from the uniform point and stops when the gradient-mapping displacement
     ||p - Proj(p - step grad)||_inf drops to ``tol`` or ``max_iter`` runs
     out. Returns the last iterate, the iterations run and that displacement.
+    ``tol`` must be finite and >= 0: a NaN or negative one never stops the
+    loop, and an infinite one stops it after one step.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     d, m = idx.shape
     n = w.shape[1]
     step = 1.0 / (2.0 * m * math.perm(n - 1, m - 1))

@@ -496,6 +496,42 @@ def test_sample_nested_entries_exit_two(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["sample", "{matrix}", "--seed", "-5", "--draws", "3"], -5),
+     (["verify", "--convexity", "--n", "3", "--seed", "-1"], -1)],
+    ids=["sample", "verify-convexity"],
+)
+def test_a_negative_seed_exits_two(capsys, table1_file, tmp_path, argv, seed):
+    # numpy's generators take no negative seed; its ValueError once exited 3.
+    built = tmp_path / "m.json"
+    assert run(capsys, "construct", table1_file, "--out", str(built))[0] == 0
+    code, out, err = run(capsys, *(a.format(matrix=built) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "validation", "message": f"seed must be >= 0, got {seed}"}
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_verify_oracle_rejects_a_tolerance_outside_zero_to_infinity(capsys, tmp_path, tol):
+    # argparse reads nan and inf as floats. NaN and -1 once ran every
+    # iteration and exited 0 unconverged; inf stopped after one step.
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"a": [0.5, 0.3, 0.2], "b": [0.2, 0.3, 0.5]}))
+    code, out, err = run(capsys, "verify", str(path), "--oracle", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "validation"
+    assert error["message"].startswith("tol must be finite and >= 0")
+
+
+def test_verify_oracle_accepts_a_zero_tolerance(capsys, table1_file):
+    code, out, _ = run(capsys, "verify", table1_file, "--oracle", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["oracle"]["iterations"] >= 1
+
+
 SAMPLE_10 = ["sample", "--seed", "1", "--draws", "10"]
 
 

@@ -534,6 +534,13 @@ def test_sample_joint_is_deterministic():
     assert not np.array_equal(first, sample_joint(m, seed=8, draws=1000))
 
 
+def test_sample_joint_rejects_a_negative_seed():
+    m = uniform_random(4)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        sample_joint(m, seed=-1, draws=10)
+    assert sample_joint(m, seed=0, draws=10).sum() == 10
+
+
 def test_sample_joint_counts_shape_and_diagonal(table1):
     from jointselect import optimal_satisfaction_matrix
 

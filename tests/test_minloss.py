@@ -406,6 +406,11 @@ def test_convexity_check_bounds():
         convexity_check(1)
 
 
+def test_convexity_check_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        convexity_check(3, seed=-1)
+
+
 # --------------------------------------------------------------------------
 # top-level dispatch
 # --------------------------------------------------------------------------

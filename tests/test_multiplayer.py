@@ -269,3 +269,121 @@ def test_tensor_from_matrix_holds_the_nonzero_entries_in_row_major_order():
             if i != j and m.entries[i, j] != 0.0
         }
         assert list(tensor_from_matrix(m).entries.items()) == list(scanned.items())
+
+
+# --------------------------------------------------------------------------
+# tuple arrays
+# --------------------------------------------------------------------------
+
+def reference_marginals(prefs, tensor):
+    # The per-entry loop the bincounts replace, in entry order.
+    pi = np.zeros((prefs.n_players, prefs.n_arms))
+    for key, value in tensor.entries.items():
+        for x, arm in enumerate(key):
+            pi[x, arm] += value
+    return pi
+
+
+def test_tensor_rejects_a_nan_value():
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointTensorSparse({(0, 1): np.nan, (1, 0): 0.5, (0, 2): 0.5}, n_arms=3, n_players=2)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1.5): 1.0},
+        {(0, "a"): 1.0},
+        {(0, 1): "x"},
+        {(0, 1): None},
+        {(0, 1): 0.5, (1,): 0.5},
+        {(0, 1): [0.5, 0.5]},
+        {(0, 1): 1.0 + 1e-3, (1, 0): -1e-3},
+    ],
+    ids=["float-arm", "string-arm", "string-value", "none-value", "ragged-keys",
+         "list-value", "negative-value"],
+)
+def test_tensor_input_errors_are_validation_errors(entries):
+    with pytest.raises(ValidationError):
+        JointTensorSparse(entries, n_arms=3, n_players=2)
+
+
+def test_tensor_pair_form_checks_its_keys():
+    with pytest.raises(ValidationError, match="distinct"):
+        JointTensorSparse(([(0, 1), (0, 1)], [0.5, 0.5]), n_arms=3, n_players=2)
+    with pytest.raises(NonDistinctKeyError):
+        JointTensorSparse((np.array([[0, 1, 2], [2, 1, 2]]), [0.5, 0.5]), n_arms=3, n_players=3)
+    with pytest.raises(ValidationError, match="per value"):
+        JointTensorSparse(([(0, 1), (1, 0)], [1.0]), n_arms=3, n_players=2)
+
+
+def test_an_empty_tensor_is_a_total_mismatch():
+    with pytest.raises(TotalMismatchError):
+        JointTensorSparse({}, n_arms=3, n_players=2)
+    with pytest.raises(TotalMismatchError):
+        JointTensorSparse((np.zeros((0, 2), np.intp), []), n_arms=3, n_players=2)
+
+
+def test_tensor_pair_form_gives_the_mapping_forms_entries():
+    rng = np.random.default_rng(61)
+    for m in (2, 3, 4):
+        coords = list(itertools.permutations(range(5), m))
+        keys = [coords[k] for k in rng.permutation(len(coords))]
+        vals = rng.random(len(keys))
+        vals /= vals.sum()
+        mapped = JointTensorSparse(dict(zip(keys, vals.tolist())), 5, m)
+        paired = JointTensorSparse((np.array(keys), vals), 5, m)
+        assert list(paired.entries.items()) == list(mapped.entries.items())
+        assert list(mapped.entries) == keys
+        assert paired.arms.dtype == np.intp
+        np.testing.assert_array_equal(paired.arms, mapped.arms)
+        assert paired.vals.tobytes() == mapped.vals.tobytes()
+
+
+def test_tensor_arrays_are_read_only_copies():
+    arms = np.array([[0, 1], [1, 0]])
+    vals = np.array([0.5, 0.5])
+    t = JointTensorSparse((arms, vals), n_arms=2, n_players=2)
+    arms[0] = (1, 1)
+    vals[0] = 2.0
+    assert t.entries == {(0, 1): 0.5, (1, 0): 0.5}
+    for x in (t.arms, t.vals):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
+def test_tensor_values_go_through_the_weight_clamp():
+    t = JointTensorSparse({(0, 1): 1.0, (1, 0): -0.0, (0, 2): -1e-13}, n_arms=3, n_players=2)
+    assert not np.signbit(t.vals).any()
+    assert list(t.entries.values()) == [1.0, 0.0, 0.0]
+
+
+def test_tensor_equality_is_identity():
+    a = JointTensorSparse({(0, 1): 1.0}, n_arms=2, n_players=2)
+    b = JointTensorSparse({(0, 1): 1.0}, n_arms=2, n_players=2)
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def test_tensor_marginals_equal_the_per_entry_loop_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        m = int(rng.integers(2, 5))
+        n = int(rng.integers(m, 9))
+        coords = list(itertools.permutations(range(n), m))
+        pick = rng.choice(len(coords), int(rng.integers(1, len(coords) + 1)), replace=False)
+        vals = rng.random(pick.size) * (rng.random(pick.size) < 0.8)
+        vals[0] += 1e-3
+        vals /= vals.sum()
+        tensor = JointTensorSparse(([coords[k] for k in pick], vals), n, m)
+        prefs = validate_multi(rng.dirichlet(np.ones(n), size=m))
+        got = tensor_marginals(prefs, tensor)
+        assert got.tobytes() == reference_marginals(prefs, tensor).tobytes()
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_multi_oracle_rejects_a_tolerance_outside_zero_to_infinity(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        solve_multi_min_loss(validate_multi(np.full((3, 4), 0.25)), tol=tol)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from jointselect import (
     TotalNotOneError,
+    ValidationError,
     loss,
     min_loss_value,
     optimal_satisfaction_matrix,
@@ -20,6 +21,7 @@ from jointselect import (
     validate_instance,
 )
 from jointselect.errors import DimensionTooLargeError
+from jointselect.oracle import descend
 
 from conftest import random_feasible_instance, random_hot_instance
 
@@ -122,3 +124,18 @@ def test_oracle_rejects_out_of_scope_inputs():
         solve_min_loss(random_feasible_instance(rng, 13))
     with pytest.raises(TotalNotOneError):
         solve_min_loss(validate_instance([0.1, 0.2], [0.15, 0.15], total=0.3))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf, np.inf])
+def test_descent_rejects_a_tolerance_outside_zero_to_infinity(table1, tol):
+    # NaN and negative tolerances never stop the loop; an infinite one stops
+    # it after one step and reports a far-off point as converged.
+    with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+        solve_min_loss(table1, tol=tol)
+    with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+        descend(np.array([[0, 1], [1, 0]]), np.full((2, 2), 0.5), tol, 10)
+
+
+def test_descent_accepts_a_zero_tolerance(table1):
+    result = solve_min_loss(table1, tol=0.0, max_iter=5)
+    assert result.iterations == 5
