@@ -13,17 +13,20 @@ constraint, lambda_{i,j} = 2N eps on the inactive-region nonnegativity
 constraints) whose four residuals a verifier can check numerically, and
 the fact that the loss is a convex quadratic, whose Hessian over the
 off-diagonal coordinates is H[(i,j),(k,l)] = 2(delta_ik + delta_jl).
-`kkt_verify` measures the residuals from the matrix's marginals, its
-minimum and total, and the largest cell off the hot row and column, in
-O(N) extra memory and without reading the dense entries; the dense lambda
-is built only when a caller reads `KktCertificate.lam`. The hot-arm
+`kkt_verify` measures stationarity, slackness and dual feasibility from
+the matrix's marginals and the largest cell off the hot row and column,
+in O(N) extra memory and without reading the dense entries. The hot-arm
 matrix is handed to `JointSelectionMatrix` as its 2N - 2 cells and forms
-no N x N array: its validation, marginals and certificate read O(N)
-values, and the dense-order total to which the primal residual is pinned
-bit for bit is computed from the cells, in O(N + N^2/64) scratch (one
-float per summation node of 64 to 128 entries) besides the summation
-layout kept for the last N (8 bytes per node: 64 KB at N = 1024, 8 MB at
-N = 10^4). The dense entries are scattered only when a caller reads them.
+no N x N array, so building and certifying it reads O(N) values. Primal
+feasibility needs no measurement to decide the verdict: a matrix of
+total 1 was proved on construction to sum to within 1e-9 of 1, with no
+negative entry. The exact primal residual, pinned bit for bit to the
+total in numpy's dense order, is computed only when a caller reads
+`KktCertificate.residuals`; that replays numpy's pairwise summation from
+the cells, in O(N + N^2/64) scratch besides the summation layout kept for
+the last N (8 bytes per node of 64 to 128 entries: 64 KB at N = 1024,
+8 MB at N = 10^4). The dense lambda and the dense entries are likewise
+built only when read.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -32,7 +35,7 @@ certificate otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -76,16 +79,21 @@ class KktCertificate:
     epsilon = (S_max - 1)/(2(N-1)); mu = 2(N-2) epsilon multiplies the
     total-sum constraint; lam[i, j] = 2N epsilon on off-diagonal entries
     whose row and column both avoid arm ``hot`` (the entries pinned at
-    zero), 0 elsewhere. The residuals were measured from the matrix's
-    marginals and read-only reductions of its entries; the dense N x N
-    ``lam`` is built on first access. ``==`` and ``hash`` go by identity.
+    zero), 0 elsewhere. Stationarity, slackness and dual feasibility were
+    measured when the certificate was made; ``residuals`` adds the primal
+    residual on first read, which takes the matrix's dense-order total.
+    ``valid`` reads it only for a matrix whose declared total is not 1.
+    The dense N x N ``lam`` is built on first access. ``==`` and ``hash``
+    go by identity.
     """
 
     epsilon: float
     mu: float
-    residuals: KktResiduals
     n: int
     hot: int
+    matrix: JointSelectionMatrix = field(repr=False)
+    # The stationarity, slackness and dual residuals, in that order.
+    _measured: tuple[float, float, float] = field(repr=False)
 
     @cached_property
     def lam(self) -> Mat:
@@ -96,8 +104,22 @@ class KktCertificate:
         lam.setflags(write=False)
         return lam
 
+    @cached_property
+    def residuals(self) -> KktResiduals:
+        m = self.matrix
+        # The diagonal is exactly 0 by validation, so it adds no primal term.
+        primal = max(max(0.0, -m.min_entry), abs(m.entry_sum - 1.0))
+        return KktResiduals(*self._measured, primal)
+
     @property
     def valid(self) -> bool:
+        if not all(r <= RESIDUAL_TOL for r in self._measured):  # NaN fails too
+            return False
+        # A matrix of total 1 has no negative entry and, as its construction
+        # proved, a dense-order sum within SUM_RTOL of 1: its primal residual
+        # is at most SUM_RTOL.
+        if self.matrix.total == 1.0 and SUM_RTOL <= RESIDUAL_TOL:
+            return True
         return self.residuals.max() <= RESIDUAL_TOL
 
 
@@ -176,7 +198,7 @@ def _extremes(v: Vec, skip: int) -> list[int]:
 
 
 def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate:
-    """Build the closed-form multipliers and measure all four KKT residuals on m.
+    """Build the closed-form multipliers and certify m by its four KKT residuals.
 
     Stationarity: dL/dP[i,j] - lam[i,j] + mu = 0 on every off-diagonal entry.
     Slackness: lam[i,j] * P[i,j] = 0. Dual: lam >= 0. Primal: P on the
@@ -191,8 +213,9 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     the max as it is. Slackness needs only the largest cell off the hot
     row and column. Each term is computed with the same float operations
     as the dense form, so the residuals equal it bit for bit.
-    The marginals, minimum and total are the matrix's own, taken once; the
-    dense entries are not read.
+    The marginals are the matrix's own, taken once. The primal residual
+    reads the matrix's minimum and dense-order total, and is computed on
+    the first read of ``residuals``. The dense entries are not read.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n
@@ -219,9 +242,7 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     off_hot = (m.rows != hot) & (m.cols != hot)
     slackness = abs(lam_cold * float(m.vals.max(where=off_hot, initial=0.0)))
     dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
-    # The diagonal is exactly 0 by validation, so it adds no primal term.
-    primal = max(max(0.0, -m.min_entry), abs(m.entry_sum - 1.0))
-    return KktCertificate(eps, mu, KktResiduals(stationarity, slackness, dual, primal), n, hot)
+    return KktCertificate(eps, mu, n, hot, m, (stationarity, slackness, dual))
 
 
 def loss_hessian(n: int) -> Mat:

@@ -91,6 +91,15 @@ def validate_multi(rows) -> MultiPreferences:
     return MultiPreferences(rows)
 
 
+def _dimension(x, what: str) -> int:
+    """A tensor dimension: an int (not a bool) of at least 2."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"number of {what} must be an integer, got {x!r}")
+    if x < 2:
+        raise ValidationError(f"need at least 2 {what}, got {x}")
+    return int(x)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class JointTensorSparse:
     """A distribution over M-tuples of pairwise-distinct arms, as tuple arrays.
@@ -98,7 +107,8 @@ class JointTensorSparse:
     Built from a ``{tuple: value}`` mapping or an ``(arms, vals)`` pair, kept
     read-only in that order: ``arms`` K x M intp, ``vals`` K floats. Tuples
     are distinct, with no arm twice (NonDistinctKeyError); values pass the
-    weight checks, sum to 1. ``entries`` is a mapping view; ``==`` is ``is``.
+    weight checks, sum to 1. ``n_arms`` and ``n_players`` are ints of at
+    least 2. ``entries`` is a mapping view; ``==`` is ``is``.
     """
 
     arms: NDArray[np.intp] = field(repr=False)
@@ -107,6 +117,7 @@ class JointTensorSparse:
     n_players: int
 
     def __init__(self, entries, n_arms: int, n_players: int) -> None:
+        n_arms, n_players = _dimension(n_arms, "arms"), _dimension(n_players, "players")
         if isinstance(entries, Mapping):
             entries = list(entries), list(entries.values())
         arms, vals = entries

@@ -28,7 +28,8 @@ from jointselect import (
     validate_instance,
 )
 from jointselect.errors import DimensionTooLargeError
-from jointselect.minloss import KktResiduals
+from jointselect import core
+from jointselect.minloss import RESIDUAL_TOL, KktResiduals
 
 from conftest import random_feasible_instance, random_hot_instance
 
@@ -355,6 +356,105 @@ def test_hot_arm_dispatch_holds_one_dense_array():
         tracemalloc.stop()
     assert result.branch == "min-loss" and result.certificate.valid
     assert peak <= 1.25 * n * n * 8
+
+
+# --------------------------------------------------------------------------
+# the verdict without the dense-order total
+# --------------------------------------------------------------------------
+
+def decides_as_residuals(cert) -> bool:
+    """Whether ``valid`` agrees with the four residuals, read afterwards."""
+    verdict = cert.valid
+    return verdict == (cert.residuals.max() <= RESIDUAL_TOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KKT_KINDS))
+def test_kkt_valid_agrees_with_the_residuals(n, seed, kind):
+    inst, m = kkt_case(n, seed, kind)
+    assert decides_as_residuals(kkt_verify(inst, m))
+
+
+def test_kkt_valid_agrees_with_the_residuals_on_hot_dispatch_output():
+    rng = np.random.default_rng(23)
+    for n in range(2, 65):
+        result = optimal_satisfaction_matrix(hot_arm_instance(rng, n))
+        assert result.certificate.valid
+        assert decides_as_residuals(result.certificate)
+
+
+def test_kkt_valid_agrees_with_the_residuals_on_bumped_and_uniform_matrices():
+    inst = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
+    bumped = min_loss_matrix(inst, hot=2).entries.copy()
+    bumped[0, 2] -= 0.01
+    bumped[0, 1] += 0.01
+    for m in (JointSelectionMatrix(bumped), uniform_random(3)):
+        cert = kkt_verify(inst, m)
+        assert not cert.valid
+        assert decides_as_residuals(cert)
+
+
+def test_kkt_valid_reads_the_primal_residual_when_the_total_is_not_one():
+    inst = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
+    half = JointSelectionMatrix(np.array([[0, 0, 0.05], [0, 0, 0.05], [0.1, 0.3, 0]]), 0.5)
+    cert = kkt_verify(inst, half)
+    assert not cert.valid
+    assert cert.residuals.primal == 0.5
+    assert decides_as_residuals(cert)
+
+
+@pytest.mark.parametrize("excess, valid", [(5e-10, True), (1.5e-9, False)])
+def test_kkt_valid_decides_a_total_off_one_on_its_primal_residual(excess, valid):
+    # The hot-arm matrix with `excess` spread over its cold x cold cells:
+    # stationarity and slackness stay far below 1e-9, so the verdict rests
+    # on the primal residual, about `excess`.
+    n = 64
+    inst = hot_arm_instance(np.random.default_rng(41), n)
+    hot = int(np.argmax(inst.popularity))
+    entries = min_loss_matrix(inst, hot).entries.copy()
+    cold = np.arange(n) != hot
+    block = np.ones((n - 1, n - 1)) - np.eye(n - 1)
+    entries[np.ix_(cold, cold)] = block * (excess / block.sum())
+    m = JointSelectionMatrix(entries, 1.0 + excess)
+    cert = kkt_verify(inst, m)
+    assert cert.residuals.stationarity <= 1e-10 and cert.residuals.slackness <= 1e-10
+    assert cert.residuals.primal == pytest.approx(excess, rel=1e-3)
+    assert cert.valid is valid
+    assert decides_as_residuals(cert)
+
+
+def test_hot_arm_verdict_needs_no_dense_order_total(monkeypatch):
+    inst = hot_arm_instance(np.random.default_rng(29), 300)
+
+    def refuse(*args):
+        raise AssertionError("the verdict read the dense-order total")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_dense_order_sum", refuse)
+        result = optimal_satisfaction_matrix(inst)
+        assert result.certificate.valid
+    _, _, _, residuals = dense_kkt_reference(inst, result.matrix)
+    assert result.certificate.residuals == residuals
+
+
+def traced_hot_arm_peak(n: int) -> int:
+    inst = hot_arm_instance(np.random.default_rng(n), n)
+    tracemalloc.start()
+    try:
+        result = optimal_satisfaction_matrix(inst)
+        assert result.certificate.valid and result.loss > 0.0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_hot_arm_op_with_its_verdict_grows_linearly():
+    # Growth pin, not a timing gate: at 4N the traced peak of the op and its
+    # verdict is about 4 times that at N. The pairwise-sum layout of the
+    # dense-order total, about N^2/64 nodes, would make it 16 times.
+    small, large = traced_hot_arm_peak(2500), traced_hot_arm_peak(10_000)
+    assert large <= 6 * small
 
 
 # --------------------------------------------------------------------------

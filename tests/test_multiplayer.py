@@ -387,3 +387,25 @@ def test_tensor_marginals_equal_the_per_entry_loop_bit_for_bit():
 def test_multi_oracle_rejects_a_tolerance_outside_zero_to_infinity(tol):
     with pytest.raises(ValidationError, match="tol"):
         solve_multi_min_loss(validate_multi(np.full((3, 4), 0.25)), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "entries, n_arms, n_players, match",
+    [
+        ({(): 1.0}, 3, 0, "at least 2 players, got 0"),
+        ({(0,): 1.0}, 3, 1, "at least 2 players, got 1"),
+        ({(0, 1): 1.0}, 2.5, 2, "arms must be an integer, got 2.5"),
+        ({(0, 1): 1.0}, 1, 2, "at least 2 arms, got 1"),
+        ({(0, 1): 1.0}, True, 2, "arms must be an integer, got True"),
+        ({(0, 1): 1.0}, 3, 2.0, "players must be an integer, got 2.0"),
+    ],
+)
+def test_tensor_rejects_dimensions_that_are_not_ints_of_at_least_two(entries, n_arms, n_players, match):
+    with pytest.raises(ValidationError, match=match):
+        JointTensorSparse(entries, n_arms, n_players)
+
+
+def test_tensor_takes_numpy_integer_dimensions_as_ints():
+    t = JointTensorSparse({(0, 1): 1.0}, np.int64(3), np.int32(2))
+    assert (t.n_arms, t.n_players) == (3, 2)
+    assert type(t.n_arms) is int and type(t.n_players) is int
