@@ -14,13 +14,15 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .core import (
+    _csv_rows,
     dumps,
     given_loss,
     instance_from_json,
@@ -74,13 +76,24 @@ def _read_json(path: str):
         raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
-@contextmanager
-def _output(args):
-    if args.out in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            yield fh
+def _write(args, payload: dict, csv=None, note: str | None = None) -> int:
+    """Write a command's answer to --out ("-" is stdout) and return exit code 0.
+
+    JSON is ``payload``. CSV is ``csv(fh)``, by default ``payload`` as dotted
+    key,value rows, followed by ``note``, if any, on stderr.
+    """
+    to_file = args.out not in (None, "-")
+    with open(args.out, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+        if args.format == "json":
+            fh.write(dumps(payload) + "\n")
+            return 0
+        if csv is None:
+            _write_kv_csv(fh, payload)
+        else:
+            csv(fh)
+        if note is not None:
+            print(note, file=sys.stderr)
+    return 0
 
 
 def _write_kv_csv(fh, payload: dict, prefix: str = "") -> None:
@@ -115,17 +128,9 @@ def cmd_construct(args) -> int:
         "popularity": inst.popularity.tolist(),
         "branch": result.branch,
     }
-    with _output(args) as fh:
-        if args.format == "json":
-            fh.write(dumps(payload) + "\n")
-        else:
-            fh.write(matrix_to_csv(result.matrix))
-            print(
-                f"loss={reported:.17g} branch={result.branch} "
-                f"popularity={','.join(f'{s:.17g}' for s in inst.popularity)}",
-                file=sys.stderr,
-            )
-    return 0
+    note = (f"loss={reported:.17g} branch={result.branch} "
+            f"popularity={','.join(f'{s:.17g}' for s in inst.popularity)}")
+    return _write(args, payload, lambda fh: fh.write(matrix_to_csv(result.matrix)), note)
 
 
 def cmd_baseline(args) -> int:
@@ -161,35 +166,31 @@ def cmd_baseline(args) -> int:
         payload["fallback"] = "uniform"
     if args.method == "order":
         payload["degenerate_draws"] = [list(hit) for hit in degenerate]
-    with _output(args) as fh:
-        if args.format == "json":
-            fh.write(dumps(payload) + "\n")
-        else:
-            fh.write(matrix_to_csv(m))
-            notes = [f"method={args.method}", f"loss={payload['loss']:.17g}"]
-            if fallback:
-                notes.append("fallback=uniform")
-            if degenerate:
-                notes.append("degenerate=" + ";".join(f"{p}:{i}" for p, i in degenerate))
-            print(" ".join(notes), file=sys.stderr)
-    return 0
+    notes = [f"method={args.method}", f"loss={payload['loss']:.17g}"]
+    if fallback:
+        notes.append("fallback=uniform")
+    if degenerate:
+        notes.append("degenerate=" + ";".join(f"{p}:{i}" for p, i in degenerate))
+    return _write(args, payload, lambda fh: fh.write(matrix_to_csv(m)), " ".join(notes))
 
 
-def _csv_list(raw: str, allowed: tuple[str, ...], what: str) -> list[str]:
+def _csv_list(raw: str | None, allowed: tuple[str, ...], what: str, plural: str):
+    if raw is None:
+        return allowed
     items = [item.strip() for item in raw.split(",") if item.strip()]
     for item in items:
         if item not in allowed:
             raise ValidationError(f"unknown {what} {item!r}; choose from {allowed}")
     if not items:
-        raise ValidationError(f"no {what}s given")
+        raise ValidationError(f"no {plural} given")
     return items
 
 
 def cmd_bench(args) -> int:
     from .bench import FAMILIES, FULL_RANGE, METHODS, run_benchmark, summary_table, write_csv
 
-    families = FAMILIES if args.families is None else _csv_list(args.families, FAMILIES, "family")
-    methods = METHODS if args.methods is None else _csv_list(args.methods, METHODS, "method")
+    families = _csv_list(args.families, FAMILIES, "family", "families")
+    methods = _csv_list(args.methods, METHODS, "method", "methods")
     n_min = FULL_RANGE.start if args.n_min is None else args.n_min
     n_max = FULL_RANGE.stop - 1 if args.n_max is None else args.n_max
     if n_min < 3:
@@ -197,16 +198,9 @@ def cmd_bench(args) -> int:
     if n_max < n_min:
         raise ValidationError("--n-max must be >= --n-min")
     records = run_benchmark(families, range(n_min, n_max + 1), methods)
-    with _output(args) as fh:
-        if args.format == "csv":
-            write_csv(records, fh)
-        else:
-            rows = [
-                {"family": r.family, "N": r.n, "method": r.method,
-                 "loss": r.loss, "error": r.error}
-                for r in records
-            ]
-            fh.write(dumps({"records": rows}) + "\n")
+    rows = [{"family": r.family, "N": r.n, "method": r.method, "loss": r.loss, "error": r.error}
+            for r in records]
+    _write(args, {"records": rows}, lambda fh: write_csv(records, fh))
     summary_table(records, sys.stderr)
     return 0
 
@@ -229,17 +223,8 @@ def cmd_verify(args) -> int:
         else:
             m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
         cert = kkt_verify(inst, m)
-        sections["kkt"] = {
-            "epsilon": cert.epsilon,
-            "mu": cert.mu,
-            "residuals": {
-                "stationarity": cert.residuals.stationarity,
-                "slackness": cert.residuals.slackness,
-                "dual": cert.residuals.dual,
-                "primal": cert.residuals.primal,
-            },
-            "valid": cert.valid,
-        }
+        sections["kkt"] = {"epsilon": cert.epsilon, "mu": cert.mu,
+                           "residuals": asdict(cert.residuals), "valid": cert.valid}
     if args.oracle:
         constructive = optimal_satisfaction_matrix(inst)
         solved = solve_min_loss(inst, tol=args.tol)
@@ -255,21 +240,8 @@ def cmd_verify(args) -> int:
         n = args.n if args.n is not None else (inst.n if inst is not None else None)
         if n is None:
             raise ValidationError("--convexity needs --n (or an input to take N from)")
-        report = convexity_check(n, args.trials, args.seed)
-        sections["convexity"] = {
-            "n": report.n,
-            "dimension": report.dimension,
-            "trials": report.trials,
-            "min_quadratic_form": report.min_quadratic_form,
-            "min_eigenvalue": report.min_eigenvalue,
-            "passed": report.passed,
-        }
-    with _output(args) as fh:
-        if args.format == "json":
-            fh.write(dumps(sections) + "\n")
-        else:
-            _write_kv_csv(fh, sections)
-    return 0
+        sections["convexity"] = asdict(convexity_check(n, args.trials, args.seed))
+    return _write(args, sections)
 
 
 def cmd_sample(args) -> int:
@@ -282,13 +254,7 @@ def cmd_sample(args) -> int:
         "counts": counts.ravel().tolist(),
         "diagonal_hits": int(np.trace(counts)),
     }
-    with _output(args) as fh:
-        if args.format == "json":
-            fh.write(dumps(payload) + "\n")
-        else:
-            for row in counts.tolist():
-                fh.write(",".join(str(c) for c in row) + "\n")
-    return 0
+    return _write(args, payload, lambda fh: fh.write(_csv_rows(counts.tolist())))
 
 
 def cmd_feasibility(args) -> int:
@@ -309,12 +275,7 @@ def cmd_feasibility(args) -> int:
         "popularity": prefs.popularity.tolist(),
         "verdict": verdict.value,
     }
-    with _output(args) as fh:
-        if args.format == "json":
-            fh.write(dumps(payload) + "\n")
-        else:
-            _write_kv_csv(fh, payload)
-    return 0
+    return _write(args, payload)
 
 
 # --------------------------------------------------------------------------

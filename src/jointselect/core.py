@@ -729,9 +729,14 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     return JointSelectionMatrix(entries.reshape(n, n), _json_total(obj))
 
 
+def _csv_rows(rows) -> str:
+    """One line of comma-separated ``repr``s per row."""
+    return "".join(",".join(repr(x) for x in row) + "\n" for row in rows)
+
+
 def matrix_to_csv(m: JointSelectionMatrix) -> str:
     """N rows of N comma-separated entries; diagonal prints as 0."""
-    return "\n".join(",".join(repr(x) for x in row) for row in m.entries.tolist()) + "\n"
+    return _csv_rows(m.entries.tolist())
 
 
 def dumps(obj: dict) -> str:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isnan, nan
 
 import numpy as np
 
@@ -69,7 +70,9 @@ class KktResiduals:
     primal: float
 
     def max(self) -> float:
-        return max(self.stationarity, self.slackness, self.dual, self.primal)
+        """The largest residual, or NaN when any residual is NaN."""
+        values = (self.stationarity, self.slackness, self.dual, self.primal)
+        return nan if any(map(isnan, values)) else max(values)
 
 
 @dataclass(frozen=True, eq=False)

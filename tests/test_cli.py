@@ -327,6 +327,13 @@ def test_bench_rejects_unknown_family(capsys):
     assert stderr_error(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("flag, plural", [("--families", "families"), ("--methods", "methods")])
+def test_bench_rejects_an_empty_list(capsys, flag, plural):
+    code, _, err = run(capsys, "bench", flag, "")
+    assert code == 2
+    assert stderr_error(err) == {"error": "validation", "message": f"no {plural} given"}
+
+
 def test_bench_rejects_bad_range(capsys):
     code, _, err = run(capsys, "bench", "--n-min", "2", "--n-max", "5")
     assert code == 2
@@ -641,6 +648,40 @@ def test_feasibility_requires_players_key(capsys, tmp_path):
     code, _, err = run(capsys, "feasibility", str(path))
     assert code == 2
     assert stderr_error(err)["error"] == "validation"
+
+
+# --------------------------------------------------------------------------
+# output: --out and the CSV-only stderr note, for every command
+# --------------------------------------------------------------------------
+
+WRITER_ARGV = {
+    "construct": ["construct", "{table1}"],
+    "baseline": ["baseline", "{table1}", "--method", "order"],
+    "bench": ["bench", "--families", "iv", "--methods", "optimal,uniform", "--n-max", "4"],
+    "verify": ["verify", "{hot}", "--kkt", "--convexity", "--trials", "20"],
+    "sample": ["sample", "{matrix}", "--seed", "1", "--draws", "100"],
+    "feasibility": ["feasibility", "{players}"],
+}
+NOTED = ("construct", "baseline")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", list(WRITER_ARGV))
+def test_out_file_gets_the_bytes_stdout_gets(capsys, tmp_path, table1_file, hot_file,
+                                            command, fmt):
+    matrix = tmp_path / "matrix.json"
+    assert main(["construct", table1_file, "--out", str(matrix)]) == 0
+    players = feas_file(tmp_path, [TABLE1_A, TABLE1_B, [0.25, 0.25, 0.5]])
+    argv = [arg.format(table1=table1_file, hot=hot_file, matrix=matrix, players=players)
+            for arg in WRITER_ARGV[command]] + ["--format", fmt]
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    out_path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(out_path)) == (code, "", err)
+    assert code == 0
+    assert out and out_path.read_bytes() == out.encode("utf-8")
+    if command in NOTED:  # one line, with --format csv only
+        assert len(err.splitlines()) == (1 if fmt == "csv" else 0)
 
 
 # --------------------------------------------------------------------------

@@ -423,6 +423,19 @@ def test_kkt_valid_decides_a_total_off_one_on_its_primal_residual(excess, valid)
     assert decides_as_residuals(cert)
 
 
+@pytest.mark.parametrize("where", range(4))
+def test_kkt_residuals_max_is_nan_when_any_residual_is_nan(where):
+    values = [0.0, 1e-300, 5e-324, 2.0]
+    values[where] = float("nan")
+    assert np.isnan(KktResiduals(*values).max())
+
+
+def test_kkt_residuals_max_keeps_the_bits_of_the_largest():
+    values = (3e-17, 0.1 + 0.2, -0.0, 0.30000000000000004)
+    assert KktResiduals(*values).max() == 0.30000000000000004
+    assert KktResiduals(-0.0, 0.0, -0.0, -0.0).max().hex() == (-0.0).hex()
+
+
 def test_hot_arm_verdict_needs_no_dense_order_total(monkeypatch):
     inst = hot_arm_instance(np.random.default_rng(29), 300)
 
