@@ -24,14 +24,15 @@ as the cells of every entry that is not +0.0 and are not kept, so one
 validator (`_cell_store`) checks every matrix. A matrix forms no N x N
 array: its dense `entries` is scattered on first read, for the output
 formats, and its total in numpy's dense order is computed from the cells
-by a replica of numpy's pairwise summation (`_dense_order_sum`).
+by a replica of numpy's pairwise summation (`_dense_order_sum`), in
+O(cells) scratch and with no kept state.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isfinite
 from typing import NamedTuple
 
@@ -67,6 +68,15 @@ _RESCALE_RTOL = 1e-12
 # memory stays the same however many draws are asked for.
 SAMPLE_CHUNK = 1 << 16
 
+# sample_joint adds its counts in floats, which count exactly up to 2**53.
+MAX_DRAWS = 1 << 53
+
+# JointSelectionMatrix.marginals sums its rows of three or more cells from
+# dense rows, as many at a time as fit in this many entries (one row at
+# least), so that its working memory stays the same however many such
+# rows there are.
+ROW_SLAB = 1 << 20
+
 # The fewest buckets of sample_joint's guide table. The table grows to at
 # least 8 buckets per cell, so that at most one draw in 8 needs a search.
 _MIN_BUCKETS = 1 << 12
@@ -84,59 +94,17 @@ _SUM_BAND = 256 * 2.0**-53
 # this, half the largest float, cannot overflow, rounding included.
 _NO_OVERFLOW = 2.0**1023
 
-# bitrev_8(k) for k = 0 .. 255: the 8 bits of k in reverse order.
-_BITREV8 = np.array([int(f"{k:08b}"[::-1], 2) for k in range(256)], dtype=np.intp)
-
 
 def _tol(total: float) -> float:
     return SUM_RTOL * max(1.0, abs(total))
 
 
-def _bit_reversed(d: int) -> NDArray[np.intp]:
-    """bitrev_d(k) for k = 0 .. 2**d - 1: the d low bits of k in reverse order."""
-    s = min(d, 8)
-    low = _BITREV8[: 1 << s] >> (8 - s)  # of the s low bits of k
-    if d == s:
-        return low
-    return ((low << (d - s))[None, :] | _bit_reversed(d - s)[:, None]).ravel()
-
-
-class _Layout(NamedTuple):
-    """The blocks of numpy's pairwise summation of an array of one length."""
-
-    depth: int  # the tree depth of the nodes that hold the blocks
-    ends: NDArray[np.intp]  # the end of each node, counted in chunks of 8
-    whole: NDArray[np.bool_] | None  # which node pairs are one block of 8 + 8 chunks
-    split: bool  # whether the last node is split in two blocks
-
-
-@lru_cache(maxsize=1)
-def _layout(length: int) -> _Layout:
-    """The layout `_dense_order_sum` replays, for arrays of this length.
-
-    It depends on the length alone, so the last one is kept: its arrays,
-    read-only, take about 8 bytes per node, 2**depth nodes of 64 to 128
-    elements each (64 KB for length 1024**2, 8 MB for 10**8). It is held
-    until a call with another length replaces it; ``_layout.cache_clear()``
-    frees it.
-    """
-    chunks, tail = divmod(length, 8)
-    # Counted in chunks of 8 elements, a run of c chunks splits into c >> 1
-    # and (c + 1) >> 1 and the tail stays in the last run, so node k at
-    # depth d holds (chunks + bitrev_d(k)) >> d chunks. The blocks are the
-    # nodes at `depth`, the first depth at which none holds more than 16
-    # chunks, with two exceptions: a node of 16 chunks one level up is a
-    # block already, and a last node of 16 chunks that also holds the tail
-    # is split once more, into 8 chunks and 8 chunks plus the tail.
-    depth = ((chunks - 1) >> 4).bit_length() if chunks else 0
-    q, t = chunks >> depth, chunks & ((1 << depth) - 1)
-    big = _bit_reversed(depth) >= (1 << depth) - t  # nodes of q + 1 chunks; the rest hold q
-    ends = np.cumsum(q + big)
-    whole = ~(big[0::2] | big[1::2]) if depth and q == 8 else None  # pairs of 8 + 8 chunks
-    for x in (ends, whole):
-        if x is not None:
-            x.setflags(write=False)
-    return _Layout(depth, ends, whole, bool(tail) and q + big[-1] == 16)
+def _run_starts(key: NDArray[np.intp]) -> NDArray[np.bool_]:
+    """Where each run of equal keys in ``key`` (not empty) begins."""
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
 
 
 def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
@@ -152,36 +120,48 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     length % 8 elements left over, one by one. A longer run is split at
     8 * floor(length / 16) and its two halves are added. A zero leaves a
     nonzero partial sum as it is, and numpy's result starts from +0.0, so
-    the zeros of ``a`` are left out. Scratch memory is O(pos.size +
-    length / 64). The blocks of a length are its `_layout`, which is kept
-    for the last length: about length / 8 bytes.
+    the zeros of ``a`` are left out: each cell finds its block by walking
+    that split tree down from the root, and the block sums are added
+    upward, level by level, over the nodes that hold cells. It keeps no
+    state and needs O(pos.size) scratch.
     """
     if pos.size == 0:
         return 0.0
-    depth, ends, whole, split = _layout(length)
-    chunks, tail = divmod(length, 8)
-    # the cells before the tail
-    inner = int(np.searchsorted(pos, 8 * chunks)) if tail else pos.size
-    chunk = pos[:inner] >> 3
-    node = np.searchsorted(ends, chunk, side="right")
-    # Each block gets a key that grows with position: 2k for node k, 4j for
-    # a block of the two nodes 2j and 2j + 1, and 2k + 1 for the second half
-    # of a split node k. The key // 2 is the node the block's sum lands in.
-    key = np.empty(pos.size, dtype=np.intp)
-    block = key[:inner]
-    np.left_shift(node, 1, out=block)
-    if whole is not None:
-        block[whole[node >> 1]] &= ~3
-    if split:
-        block += chunk >= chunks - 8
-    key[inner:] = (2 << depth) - 2 + split
-    first = np.empty(pos.size, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    live = key[first]
+    # The last node of each level is the largest, so the deepest block is
+    # on the last path: it takes `levels` splits to reach.
+    levels, last = 0, length
+    while last > 128:
+        last -= 8 * (last >> 4)
+        levels += 1
+    # Walk each cell down: `node` is its node at the level reached, `at` its
+    # position in that node and `size` the node's length. A node of at most
+    # 128 elements is a block and splits no further. That happens at the
+    # last split alone: the nodes of a level differ by at most a chunk and
+    # the tail, so at the last split level all hold 15 chunks or more, and
+    # each node above it has two such children. A block stays the left
+    # child, so that at the last level each block is its first node, and
+    # the nodes grow with the positions.
+    node = np.zeros(pos.size, dtype=np.intp)
+    at = pos.copy()
+    size = np.full(pos.size, length, dtype=np.intp)
+    for level in range(levels):
+        half = size >> 4
+        half <<= 3
+        right = at >= half
+        if level == levels - 1:
+            right &= size > 128
+        np.subtract(at, half, out=at, where=right)
+        size = np.where(right, size - half, half)
+        node <<= 1
+        node += right
+    first = _run_starts(node)
+    live = node[first]
     rank = np.add.accumulate(first, dtype=np.intp)  # 1 + the block of each cell
+    # The elements past the last multiple of 8 are the last block's tail.
+    inner = int(np.searchsorted(pos, length & ~7))
     # bincount adds the weights of one bin in input order, from +0.0; its
-    # first 8 bins, those of rank 0, are empty.
+    # first 8 bins, those of rank 0, are empty. Blocks start at multiples
+    # of 8, so a cell's lane is its position mod 8.
     lanes = np.bincount(8 * rank[:inner] + (pos[:inner] & 7), vals[:inner], 8 * live.size + 8)[8:]
     lanes = lanes.astype(np.float64, copy=False).reshape(-1, 8)  # bincount of nothing is int
     for _ in range(3):
@@ -189,10 +169,14 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     sums = lanes.ravel()
     for x in vals[inner:].tolist():  # the tail, in the last block
         sums[-1] += x
-    nodes = np.bincount(live >> 1, sums, 1 << depth)
-    for _ in range(depth):
-        nodes = nodes[0::2] + nodes[1::2]
-    return float(nodes[0])
+    # No sum is -0.0, so a node with one child holding cells takes its sum
+    # as it is, the bits of that sum plus the other child's +0.0.
+    for _ in range(levels):
+        live >>= 1
+        first = _run_starts(live)
+        sums = np.add.reduceat(sums, np.flatnonzero(first))
+        live = live[first]
+    return float(sums[0])
 
 
 def _floats(x, what: str) -> NDArray[np.float64]:
@@ -524,10 +508,10 @@ class JointSelectionMatrix:
         sums the row-major cells. A row is summed pairwise, which differs
         from bincount's order only when it holds three or more nonzero
         cells (x + y is one rounding either way), so those rows alone are
-        scattered into a block of their own and summed by numpy; zeros do
-        not change a sum of positive cells. tests/test_cells.py holds numpy
-        to this, so a numpy upgrade that changes its summation order fails
-        there.
+        scattered into dense rows, ROW_SLAB entries at a time, and summed by
+        numpy; zeros do not change a sum of positive cells.
+        tests/test_cells.py holds numpy to this, so a numpy upgrade that
+        changes its summation order fails there.
         """
         n = self.n
         pi_a = np.bincount(self.rows, self.vals, n)
@@ -535,9 +519,14 @@ class JointSelectionMatrix:
         if np.count_nonzero(heavy):
             which = np.flatnonzero(heavy)
             take = heavy[self.rows]
-            block = np.zeros((which.size, n))
-            block[np.searchsorted(which, self.rows[take]), self.cols[take]] = self.vals[take]
-            pi_a[which] = block.sum(axis=1)
+            slot = np.searchsorted(which, self.rows[take])  # the heavy row of each cell
+            cols, vals = self.cols[take], self.vals[take]
+            per = max(1, ROW_SLAB // n)  # rows per slab
+            for start in range(0, which.size, per):
+                lo, hi = np.searchsorted(slot, (start, start + per))
+                slab = np.zeros((min(per, which.size - start), n))
+                slab[slot[lo:hi] - start, cols[lo:hi]] = vals[lo:hi]
+                pi_a[which[start : start + per]] = slab.sum(axis=1)
         pi_b = np.bincount(self.cols, self.vals, n)
         pi_a.setflags(write=False)
         pi_b.setflags(write=False)
@@ -652,11 +641,13 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
     Uniforms are drawn SAMPLE_CHUNK at a time, which continues the same
     stream, so the counts equal a one-shot draw while the working memory
     stays O(cells + buckets + SAMPLE_CHUNK) besides the N x N result.
-    Requires a unit total and a seed >= 0, as PCG64 takes; the diagonal
-    of the result is always 0.
+    Requires a unit total, a seed >= 0, as PCG64 takes, and at most
+    MAX_DRAWS = 2**53 draws; the diagonal of the result is always 0.
     """
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
+    if draws > MAX_DRAWS:
+        raise ValidationError(f"draws must be <= 2**53, got {draws}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     _require_unit_total(m.total, "sampling")
@@ -677,7 +668,7 @@ def sample_joint(m: JointSelectionMatrix, seed: int, draws: int) -> NDArray[np.i
         u /= buckets
         picked += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=cdf.size)
     clean = ~mixed
-    # float sums of counts are exact integers below 2**53 draws
+    # float sums of counts are exact integers up to MAX_DRAWS draws
     picked += np.bincount(first[clean], hits[clean], cdf.size).astype(np.int64)
     counts = np.zeros((n, n), dtype=np.int64)
     counts[m.rows, m.cols] = picked

@@ -23,10 +23,8 @@ total 1 was proved on construction to sum to within 1e-9 of 1, with no
 negative entry. The exact primal residual, pinned bit for bit to the
 total in numpy's dense order, is computed only when a caller reads
 `KktCertificate.residuals`; that replays numpy's pairwise summation from
-the cells, in O(N + N^2/64) scratch besides the summation layout kept for
-the last N (8 bytes per node of 64 to 128 entries: 64 KB at N = 1024,
-8 MB at N = 10^4). The dense lambda and the dense entries are likewise
-built only when read.
+the cells, in O(N) scratch and with no kept state. The dense lambda and
+the dense entries are likewise built only when read.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -60,6 +58,11 @@ from .errors import (
 from .zeroloss import construct_zero_loss
 
 RESIDUAL_TOL = 1e-9
+
+# convexity_check is desk-scale: at most this many arms, and at most this
+# many random forms, each of N(N - 1) coordinates (45 MB of draws at N = 8).
+CONVEXITY_MAX_N = 8
+CONVEXITY_MAX_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -263,10 +266,14 @@ def convexity_check(n: int, trials: int = 1000, seed: int = 0) -> ConvexityRepor
     an exact eigenvalue floor for N <= 6 where the dense solve is instant."""
     if n < 2:
         raise ValidationError(f"need at least 2 arms, got {n}")
-    if n > 8:
-        raise DimensionTooLargeError(f"convexity check is desk-scale (N <= 8), got {n}")
+    if n > CONVEXITY_MAX_N:
+        raise DimensionTooLargeError(
+            f"convexity check is desk-scale (N <= {CONVEXITY_MAX_N}), got {n}"
+        )
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > CONVEXITY_MAX_TRIALS:
+        raise ValidationError(f"trials must be <= {CONVEXITY_MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     h = loss_hessian(n)

@@ -16,7 +16,7 @@ from jointselect import (
     sample_joint,
     validate_instance,
 )
-from jointselect.core import SAMPLE_CHUNK, SUM_RTOL, Cells
+from jointselect.core import ROW_SLAB, SAMPLE_CHUNK, SUM_RTOL, Cells
 
 from conftest import random_feasible_instance
 
@@ -178,6 +178,24 @@ def test_cell_marginals_equal_the_dense_sums_bit_for_bit(n, seed, shape):
         assert np.array_equal(np.signbit(pi), np.signbit(want))
     for pi, want in zip(dense.marginals, m.marginals):
         assert pi.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("light", [0, 3], ids=["every-row-full", "every-third-row-light"])
+def test_heavy_rows_over_several_slabs_equal_the_dense_sums_bit_for_bit(light):
+    # Rows of three or more cells are summed from dense rows, ROW_SLAB
+    # entries at a time: 1,500 full rows take three slabs (699, 699, 102).
+    n = 1500
+    assert n * n > 2 * ROW_SLAB
+    rng = np.random.default_rng(59)
+    rows, cols = np.divmod(np.flatnonzero(~np.eye(n, dtype=bool)), n)
+    if light:  # every third row keeps two cells, so heavy rows are not consecutive
+        keep = (rows % light != 0) | (cols < 2) | ((rows < 2) & (cols == 2))
+        rows, cols = rows[keep], cols[keep]
+    vals = rng.random(rows.size) * 10.0 ** rng.integers(-8, 1, size=rows.size)
+    m = JointSelectionMatrix(Cells(n, rows, cols, vals / vals.sum()))
+    pi_a, pi_b = m.marginals
+    assert pi_a.tobytes() == m.entries.sum(axis=1).tobytes()
+    assert pi_b.tobytes() == m.entries.sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1])

@@ -432,8 +432,9 @@ def test_verify_convexity_needs_dimension(capsys):
     assert stderr_error(err)["error"] == "validation"
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
+@pytest.mark.parametrize("trials", ["0", "-1", "100001", "99999999999999999999"])
 def test_verify_convexity_needs_a_trial(capsys, trials):
+    # Too many trials once exited 3: numpy refused the array of draws.
     code, out, err = run(capsys, "verify", "--convexity", "--n", "3", "--trials", trials)
     assert code == 2
     assert out == ""
@@ -468,6 +469,17 @@ def test_sample_csv_rows(capsys, table1_file, tmp_path):
     rows = [[int(c) for c in line.split(",")] for line in out.strip().splitlines()]
     assert sum(sum(r) for r in rows) == 50
     assert all(rows[i][i] == 0 for i in range(3))
+
+
+@pytest.mark.parametrize("draws", ["0", str(2**53 + 1), "99999999999999999999"])
+def test_sample_needs_a_draw_count_in_range(capsys, table1_file, tmp_path, draws):
+    # 10**20 draws once ran without end.
+    built = tmp_path / "m.json"
+    assert run(capsys, "construct", table1_file, "--out", str(built))[0] == 0
+    code, out, err = run(capsys, "sample", str(built), "--seed", "1", "--draws", draws)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "validation"
 
 
 def test_sample_requires_seed_and_draws(capsys, table1_file):

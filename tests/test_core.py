@@ -38,7 +38,7 @@ from jointselect import (
     validate_multi,
 )
 from jointselect import core
-from jointselect.core import SAMPLE_CHUNK
+from jointselect.core import MAX_DRAWS, SAMPLE_CHUNK
 from jointselect.zeroloss import construct_zero_loss
 
 from conftest import TABLE1_A, TABLE1_B, fd_gradient, random_feasible_instance, raw_loss
@@ -692,6 +692,12 @@ def test_sample_joint_rejects_bad_arguments():
     scaled = JointSelectionMatrix(0.5 * m.entries, total=0.5)
     with pytest.raises(TotalNotOneError):
         sample_joint(scaled, seed=0, draws=10)
+    # Counts are merged as floats, exact up to 2**53 draws; 10**20 draws
+    # once ran without end.
+    assert MAX_DRAWS == 2**53
+    for draws in (MAX_DRAWS + 1, 10**20):
+        with pytest.raises(ValidationError, match=f"draws must be <= 2\\*\\*53, got {draws}"):
+            sample_joint(m, seed=0, draws=draws)
 
 
 # --------------------------------------------------------------------------

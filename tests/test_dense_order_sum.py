@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointselect.core import _dense_order_sum, _layout
+from jointselect.core import Cells, JointSelectionMatrix, _dense_order_sum
 
 
 def pairwise(a: dict[int, float], live: list[int], lo: int, n: int) -> float:
@@ -161,59 +161,36 @@ PAIRED_LENGTH = 46 * 46
 SPLIT_LENGTH = 128 * 1024 + 5
 
 
-def test_the_kept_layout_is_read_only():
-    for length in (1024 * 1024, PAIRED_LENGTH):
-        layout = _layout(length)
-        for x in (layout.ends, layout.whole):
-            if x is not None:
-                assert not x.flags.writeable
-                with pytest.raises(ValueError):
-                    x[0] = x[0]
-
-
-def test_a_kept_layout_gives_the_bits_of_a_fresh_one():
-    assert _layout(PAIRED_LENGTH).whole is not None
-    assert _layout(SPLIT_LENGTH).split
+def test_paired_and_split_lengths_equal_numpy_bit_for_bit():
     rng = np.random.default_rng(47)
-    lengths = [1024 * 1024, 1000 * 1000, 1024 * 1024, PAIRED_LENGTH, SPLIT_LENGTH,
-               SPLIT_LENGTH, PAIRED_LENGTH]
-    cases = []
-    for length in lengths:
+    for length in (PAIRED_LENGTH, SPLIT_LENGTH):
         n = int(round(length**0.5))
         scattered = np.sort(rng.choice(length, size=300, replace=False))
         for pos in (hot_arm_positions(n, int(rng.integers(n))) % length, scattered,
                     np.arange(length - 9, length)):
             pos = np.unique(pos)  # hot-arm positions past a length that is not square wrap
-            cases.append((length, pos, spread_values(rng, pos.size)))
-    kept = [_dense_order_sum(*case) for case in cases]
-    fresh = []
-    for case in cases:
-        _layout.cache_clear()
-        fresh.append(_dense_order_sum(*case))
-    for (length, pos, vals), x, y in zip(cases, kept, fresh):
-        assert_same_float(x, y)
-        assert_same_float(x, float(dense(length, pos, vals).sum()))
+            vals = spread_values(rng, pos.size)
+            got = _dense_order_sum(length, pos, vals)
+            assert_same_float(got, float(dense(length, pos, vals).sum()))
+            assert_same_float(got, transcribed_sum(length, pos, vals))
 
 
-def _traced_peak(*args) -> tuple[float, int]:
+def traced_hot_arm_total(n: int) -> int:
+    """The traced peak of the hot-arm matrix's first entry_sum."""
+    pos = hot_arm_positions(n, n // 3)
+    vals = spread_values(np.random.default_rng(n), pos.size)
+    m = JointSelectionMatrix(Cells(n, *np.divmod(pos, n), vals / vals.sum()))
     tracemalloc.start()
     try:
-        x = _dense_order_sum(*args)
-        return x, tracemalloc.get_traced_memory()[1]
+        assert m.entry_sum > 0.0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_a_second_call_at_one_length_does_not_rebuild_the_layout():
-    # Building a layout peaks at 20 to 25 bytes per node (the bit-reversed
-    # indices and the cumsum); a call on a kept one needs its node sums, 8
-    # bytes per node, and their first halving, 4 more.
-    length = 1024 * 1024
-    pos, vals = np.array([5, 70_000, 900_001]), np.array([0.25, 0.5, 0.25])
-    _layout.cache_clear()
-    nodes = 1 << _layout(length).depth
-    _layout.cache_clear()
-    first, built = _traced_peak(length, pos, vals)
-    second, kept = _traced_peak(length, pos, vals)
-    assert_same_float(first, second)
-    assert kept < 16 * nodes < built
+def test_the_total_of_a_hot_arm_matrix_needs_scratch_linear_in_its_cells():
+    # Growth pin, not a timing gate: 4 times the cells, 16 times the
+    # entries. Scratch that followed the entries (a node table of numpy's
+    # blocks, about N^2/64 nodes) would grow 16 times.
+    small, large = traced_hot_arm_total(2500), traced_hot_arm_total(10_000)
+    assert large <= 6 * small

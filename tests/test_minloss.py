@@ -29,7 +29,7 @@ from jointselect import (
 )
 from jointselect.errors import DimensionTooLargeError
 from jointselect import core
-from jointselect.minloss import RESIDUAL_TOL, KktResiduals
+from jointselect.minloss import CONVEXITY_MAX_TRIALS, RESIDUAL_TOL, KktResiduals
 
 from conftest import random_feasible_instance, random_hot_instance
 
@@ -517,6 +517,9 @@ def test_convexity_check_bounds():
         convexity_check(9)
     with pytest.raises(ValidationError):
         convexity_check(1)
+    assert convexity_check(3, trials=CONVEXITY_MAX_TRIALS).passed
+    with pytest.raises(ValidationError, match=f"trials must be <= {CONVEXITY_MAX_TRIALS}"):
+        convexity_check(3, trials=CONVEXITY_MAX_TRIALS + 1)
 
 
 def test_convexity_check_rejects_a_negative_seed():
