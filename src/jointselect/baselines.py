@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JointSelectionMatrix, ProblemInstance, _require_unit_total
+from .core import Cells, JointSelectionMatrix, ProblemInstance, _require_unit_total
 from .errors import DegenerateProductError, ValidationError
 
 # Remaining-mass denominators at or below this are treated as exhausted and
@@ -23,9 +23,12 @@ def uniform_random(n: int) -> JointSelectionMatrix:
     """Every off-diagonal cell 1/(N(N-1)): preferences play no role."""
     if n < 2:
         raise ValidationError(f"need at least 2 arms, got {n}")
-    entries = np.full((n, n), 1.0 / (n * (n - 1)))
-    np.fill_diagonal(entries, 0.0)
-    return JointSelectionMatrix(entries, 1.0)
+    # Row i holds N - 1 cells, at columns 0..N-2 shifted past the diagonal.
+    rows = np.repeat(np.arange(n), n - 1)
+    cols = np.tile(np.arange(n - 1), n)
+    cols += cols >= rows
+    vals = np.full(rows.size, 1.0 / (n * (n - 1)))
+    return JointSelectionMatrix(Cells(n, rows, cols, vals), 1.0)
 
 
 def simultaneous_renormalization(inst: ProblemInstance) -> JointSelectionMatrix:

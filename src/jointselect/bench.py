@@ -29,6 +29,11 @@ from .minloss import optimal_satisfaction_matrix
 FAMILIES = ("i", "ii", "iii", "iv")
 METHODS = ("uniform", "renorm", "order", "optimal")
 FULL_RANGE = range(3, 51)
+# The largest N a sweep may reach. The renorm and order baselines build
+# dense N x N arrays with a few temporaries each, and uniform N(N - 1)
+# cells: at N = 1000 a sweep step peaks near 115 MB, where N = 20000 would
+# ask for several 3.2 GB arrays.
+MAX_N = 1000
 
 CSV_HEADER = "family,N,method,loss"
 
@@ -121,6 +126,7 @@ __all__ = [
     "CSV_HEADER",
     "FAMILIES",
     "FULL_RANGE",
+    "MAX_N",
     "METHODS",
     "preference_family",
     "run_benchmark",

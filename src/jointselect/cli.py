@@ -187,7 +187,15 @@ def _csv_list(raw: str | None, allowed: tuple[str, ...], what: str, plural: str)
 
 
 def cmd_bench(args) -> int:
-    from .bench import FAMILIES, FULL_RANGE, METHODS, run_benchmark, summary_table, write_csv
+    from .bench import (
+        FAMILIES,
+        FULL_RANGE,
+        MAX_N,
+        METHODS,
+        run_benchmark,
+        summary_table,
+        write_csv,
+    )
 
     families = _csv_list(args.families, FAMILIES, "family", "families")
     methods = _csv_list(args.methods, METHODS, "method", "methods")
@@ -197,6 +205,8 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--n-min must be >= 3, got {n_min}")
     if n_max < n_min:
         raise ValidationError("--n-max must be >= --n-min")
+    if n_max > MAX_N:
+        raise ValidationError(f"--n-max must be <= {MAX_N}, got {n_max}")
     records = run_benchmark(families, range(n_min, n_max + 1), methods)
     rows = [{"family": r.family, "N": r.n, "method": r.method, "loss": r.loss, "error": r.error}
             for r in records]

@@ -25,7 +25,9 @@ validator (`_cell_store`) checks every matrix. A matrix forms no N x N
 array: its dense `entries` is scattered on first read, for the output
 formats, and its total in numpy's dense order is computed from the cells
 by a replica of numpy's pairwise summation (`_dense_order_sum`), in
-O(cells) scratch and with no kept state.
+O(cells) scratch and with no kept state. Its marginals are summed from the
+cells too; only a matrix of at most DENSE_MARGINALS entries (N <= 128)
+sums its rows from a dense copy, which it does not keep.
 """
 
 from __future__ import annotations
@@ -76,6 +78,11 @@ MAX_DRAWS = 1 << 53
 # least), so that its working memory stays the same however many such
 # rows there are.
 ROW_SLAB = 1 << 20
+
+# A matrix of at most this many entries (N <= 128) sums its rows in
+# marginals from one dense copy of itself, in one call, rather than
+# finding and scattering its rows of three or more cells.
+DENSE_MARGINALS = 1 << 14
 
 # The fewest buckets of sample_joint's guide table. The table grows to at
 # least 8 buckets per cell, so that at most one draw in 8 needs a search.
@@ -509,24 +516,33 @@ class JointSelectionMatrix:
         from bincount's order only when it holds three or more nonzero
         cells (x + y is one rounding either way), so those rows alone are
         scattered into dense rows, ROW_SLAB entries at a time, and summed by
-        numpy; zeros do not change a sum of positive cells.
+        numpy; zeros do not change a sum of positive cells. A matrix of at
+        most DENSE_MARGINALS entries scatters all its cells, as ``entries``
+        holds them, into one local dense copy and sums its rows in one call,
+        which costs less than finding those rows; ``entries`` stays unformed.
         tests/test_cells.py holds numpy to this, so a numpy upgrade that
         changes its summation order fails there.
         """
         n = self.n
-        pi_a = np.bincount(self.rows, self.vals, n)
-        heavy = np.bincount(self.rows, minlength=n) >= 3
-        if np.count_nonzero(heavy):
-            which = np.flatnonzero(heavy)
-            take = heavy[self.rows]
-            slot = np.searchsorted(which, self.rows[take])  # the heavy row of each cell
-            cols, vals = self.cols[take], self.vals[take]
-            per = max(1, ROW_SLAB // n)  # rows per slab
-            for start in range(0, which.size, per):
-                lo, hi = np.searchsorted(slot, (start, start + per))
-                slab = np.zeros((min(per, which.size - start), n))
-                slab[slot[lo:hi] - start, cols[lo:hi]] = vals[lo:hi]
-                pi_a[which[start : start + per]] = slab.sum(axis=1)
+        if n * n <= DENSE_MARGINALS:
+            key, vals = self._placed
+            dense = np.zeros(n * n)
+            dense[key] = vals
+            pi_a = dense.reshape(n, n).sum(axis=1)
+        else:
+            pi_a = np.bincount(self.rows, self.vals, n)
+            heavy = np.bincount(self.rows, minlength=n) >= 3
+            if np.count_nonzero(heavy):
+                which = np.flatnonzero(heavy)
+                take = heavy[self.rows]
+                slot = np.searchsorted(which, self.rows[take])  # the heavy row of each cell
+                cols, vals = self.cols[take], self.vals[take]
+                per = max(1, ROW_SLAB // n)  # rows per slab
+                for start in range(0, which.size, per):
+                    lo, hi = np.searchsorted(slot, (start, start + per))
+                    slab = np.zeros((min(per, which.size - start), n))
+                    slab[slot[lo:hi] - start, cols[lo:hi]] = vals[lo:hi]
+                    pi_a[which[start : start + per]] = slab.sum(axis=1)
         pi_b = np.bincount(self.cols, self.vals, n)
         pi_a.setflags(write=False)
         pi_b.setflags(write=False)

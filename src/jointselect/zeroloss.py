@@ -8,27 +8,27 @@ at an explicit three-arm solution. Two arms are handled as a direct input
 case only (the peel never goes below three).
 
 `construct_zero_loss` runs that induction as one flat loop over the
-original arm indices, on Python floats and ints. Heaps keyed (S_i, i)
-and (-S_i, i), with stale entries dropped when they surface, pick K and
-V with ties going to the lowest index. Each peel writes one row and one
-column of cells, as flat keys i * N + j beside their values, takes each
-value off the weight it fills in the same pass, and updates only the
-popularities of the arms it touched, so an N-arm instance costs
-O(N log N). The result is a basic feasible solution of a transportation
-problem: at most 2N - 1 nonzero entries, beyond float dust. The last
-three arms' block is solved from their six weights, with the checks and
-scaling an instance of them would get but without building one, so a
-call validates only the instance it is given. The peeled cells and the
-six off-diagonal entries of that block are sorted once, by key, into
-row-major order and handed to `JointSelectionMatrix` as cells, and no
-N x N array is formed until its entries are read.
+original arm indices, on Python floats and ints. A heap keyed (S_i, i),
+stale entries dropped when they surface, picks K; a heap keyed (-S_i, i),
+one entry per live arm lowered in place when it surfaces stale, picks V.
+Ties go to the lowest index. Each peel is one call of `_fill`, the one
+home of the three fill cases: it writes row and column K as flat keys
+i * N + j beside their values and takes each value off the weight it
+fills in the same pass. Only V and the arms a spill passed are re-keyed,
+so an N-arm instance costs O(N log N). The result is a basic feasible
+solution of a transportation problem: at most 2N - 1 nonzero entries,
+beyond float dust. The last three arms' block is solved from their six
+weights, with the checks and scaling an instance of them would get but
+without building one, so a call validates only the instance it is
+given. The peeled cells and that block's six off-diagonal entries are
+sorted once, by key, into row-major order and handed over as cells; no
+N x N array is formed until the entries are read.
 
 The induction is its own witness, so the loop re-checks none of its
 steps: feasibility is checked once before it, and the answer once, as a
 whole, after it. `JointSelectionMatrix` validates the cells and their
-total, and the marginals (from the cells, each row with three or more
-cells summed by numpy from a block of those rows alone) must match A and
-B. `fill_row_col`, `reduce_instance` and `base_case_three` expose the
+total, and the marginals it computes from them must match A and B.
+`fill_row_col`, `reduce_instance` and `base_case_three` expose the
 single steps on validated instances, each checked on its own.
 
 The three-arm solution is a one-parameter family in p = P[0, 1]:
@@ -149,48 +149,54 @@ def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
     return JointSelectionMatrix(Cells(3, _BASE_ROWS, _BASE_COLS, vals), inst.total)
 
 
-def _spill(w, rem: float, k: int, v: int, alive, start: int, tol: float, case: int):
-    """Spend ``rem`` on the weights ``w`` of live arms other than K and V.
+def _fill(a, b, k: int, v: int, n: int, alive, start_a: int, start_b: int, tol: float, keys, vals):
+    """Fill row and column K against V, in place, on weights indexed by arm.
 
-    Arms are taken in ascending index order from ``start``; each gives all
-    its weight until one can cover what is left and takes the partial
-    remainder. Returns the (arm, value) cells, that cut arm (None if the
-    weights ran out first) and the budget left over (0 after a cut).
-    """
-    cells = []
-    for j in range(start, len(w)):
-        if j == k or j == v or not alive[j]:
-            continue
-        if rem <= w[j]:
-            cells.append((j, rem))
-            return cells, j, 0.0
-        cells.append((j, w[j]))
-        rem -= w[j]
-    # feasibility guarantees the budget is consumed; anything left is
-    # float dust, parked opposite V to keep the row (column) sum exact
-    if rem > tol:
-        raise InternalInvariantError(f"case-{case} fill left budget {rem:.3e}")
-    return cells, None, rem
-
-
-def _fill_cells(a, b, k: int, v: int, tol: float, alive, start_a: int, start_b: int):
-    """The three fill cases, on weights indexed by arm.
-
-    Returns (case, cut, row, col): ``row`` holds the (j, value) cells of
-    entries (K, j), ``col`` the (i, value) cells of entries (i, K). Case 2
-    spills over B from arm ``start_b`` on, case 3 over A from ``start_a``.
-    A_K > B_V and B_K > A_V together would mean S_K > S_V, so they hold
-    together only by rounding, when S_K and S_V round to one float; case 2
-    runs then, and its sub-ulp spill is dust that the final check bounds.
+    Appends each cell (i, j) as its key i * n + j to ``keys`` and its value
+    to ``vals``, and takes the value off the weight it fills: B_j for
+    (K, j), A_i for (i, K). Case 2 spills A_K over B from arm ``start_b``
+    on, case 3 B_K over A from ``start_a``, past V and the dead arms (K
+    among them). Returns (case, cut): cut took a spill's partial remainder,
+    None if the weights ran out first; the float dust left then is parked
+    opposite V, and a weight it takes below 0 is clamped there. A_K > B_V
+    and B_K > A_V together would mean S_K > S_V, so they hold together only
+    by rounding, when S_K and S_V round to one float; case 2 runs then, and
+    its sub-ulp spill is dust that the final check bounds.
     """
     ak, bk, av, bv = a[k], b[k], a[v], b[v]
-    if ak > bv:
-        spill, cut, rem = _spill(b, ak - bv, k, v, alive, start_b, tol, 2)
-        return 2, cut, [(v, bv + rem), *spill], [(v, bk)]
-    if bk > av:
-        spill, cut, rem = _spill(a, bk - av, k, v, alive, start_a, tol, 3)
-        return 3, cut, [(v, ak)], [(v, av + rem), *spill]
-    return 1, None, [(v, ak)], [(v, bk)]
+    kv, vk = ak, bk  # the cells (K, V) and (V, K)
+    case, cut = 1, None
+    if ak > bv:  # row K takes B_V at V, then spills over B: keys k * n + j
+        case, w, rem, start, base, step = 2, b, ak - bv, start_b, k * n, 1
+    elif bk > av:  # the mirror image down column K: keys j * n + k
+        case, w, rem, start, base, step = 3, a, bk - av, start_a, k, n
+    if case != 1:
+        for j in range(start, n):
+            if j == v or not alive[j]:
+                continue
+            x = w[j]
+            keys.append(base + j * step)
+            if rem <= x:
+                vals.append(rem)
+                w[j] = x - rem
+                cut, rem = j, 0.0
+                break
+            vals.append(x)
+            w[j] = 0.0
+            rem -= x
+        else:
+            if rem > tol:
+                raise InternalInvariantError(f"case-{case} fill left budget {rem:.3e}")
+        if case == 2:
+            kv = bv + rem
+        else:
+            vk = av + rem
+    keys += (k * n + v, v * n + k)
+    vals += (kv, vk)
+    x, y = bv - kv, av - vk
+    b[v] = 0.0 if x < 0.0 else x
+    a[v] = 0.0 if y < 0.0 else y
+    return case, cut
 
 
 def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
@@ -212,13 +218,13 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
     if s[k] > s.min() + tol or s[v] < np.delete(s, k).max() - tol:
         raise ValidationError("K must be the least popular arm and V the most popular")
     _require_feasible(float(s.max()), t)
-    case, cut, row_cells, col_cells = _fill_cells(inst.a, inst.b, k, v, tol, [True] * n, 0, 0)
-    row = np.zeros(n)
-    col = np.zeros(n)
-    for j, x in row_cells:
-        row[j] = x
-    for i, x in col_cells:
-        col[i] = x
+    alive = [j != k for j in range(n)]
+    keys, vals = [], []
+    case, cut = _fill(inst.a.tolist(), inst.b.tolist(), k, v, n, alive, 0, 0, tol, keys, vals)
+    i, j = np.divmod(keys, n)  # row K holds the cells (K, j), column K the cells (i, K)
+    row, col = np.zeros(n), np.zeros(n)
+    row[j[i == k]] = np.array(vals)[i == k]
+    col[i[i != k]] = np.array(vals)[i != k]
     row.setflags(write=False)
     col.setflags(write=False)
     return RowColFill(k, row, col, case, cut)
@@ -262,8 +268,10 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
 
     a, b, s = inst.a.tolist(), inst.b.tolist(), inst.popularity.tolist()
     alive = [True] * n
-    # Popularities only fall, and an arm is pushed again only when its value
-    # changed, so a heap entry is current exactly when it still equals S_i.
+    # Popularities only fall. `low` gets an entry per change, so an entry is
+    # current exactly when it equals S_i (a dead arm's current entry picked
+    # it). `high` keeps one entry per arm, never below its S_i: a stale live
+    # top is lowered in place and a dead one dropped, so a current top is V.
     low = [(x, i) for i, x in enumerate(s)]
     high = [(-x, i) for i, x in enumerate(s)]
     heapq.heapify(low)
@@ -271,45 +279,37 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     start_a = start_b = 0
     keys: list[int] = []  # i * n + j of every peeled cell (i, j)
     vals: list[float] = []  # and its value P[i, j]
-    total = t
-    tol = _tol(t)
+    total, tol = t, _tol(t)
+    pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
     for _ in range(n - 3):
-        while True:
-            key, k = heapq.heappop(low)
-            if alive[k] and key == s[k]:
-                break
+        key, k = pop(low)
+        while key != s[k]:
+            key, k = pop(low)
         alive[k] = False
-        while True:
+        key, v = high[0]
+        while -key != s[v] or not alive[v]:
+            if alive[v]:
+                replace(high, (-s[v], v))
+            else:
+                pop(high)
             key, v = high[0]
-            if alive[v] and -key == s[v]:
-                break
-            heapq.heappop(high)
-        case, cut, row, col = _fill_cells(a, b, k, v, tol, alive, start_a, start_b)
-        if case == 2:
-            start_b = n if cut is None else cut
-        elif case == 3:
-            start_a = n if cut is None else cut
-
-        # Each cell's value comes off the weight it fills, clamped at 0:
-        # only the float dust a spill parks opposite V can go below, and
-        # `_spill` bounds it by the tolerance.
-        kn = k * n
-        for j, x in row:
-            keys.append(kn + j)
-            vals.append(x)
-            new = b[j] - x
-            b[j] = 0.0 if new < 0.0 else new
-        for i, x in col:
-            keys.append(i * n + k)
-            vals.append(x)
-            new = a[i] - x
-            a[i] = 0.0 if new < 0.0 else new
-        for i, _ in row + col:
-            popularity = a[i] + b[i]
-            if popularity != s[i]:
-                s[i] = popularity
-                heapq.heappush(low, (popularity, i))
-                heapq.heappush(high, (-popularity, i))
+        case, cut = _fill(a, b, k, v, n, alive, start_a, start_b, tol, keys, vals)
+        # Re-key V, then the arms a spill passed: no other weight changed.
+        popularity = a[v] + b[v]
+        if popularity != s[v]:
+            s[v] = popularity
+            push(low, (popularity, v))
+        if case != 1:
+            stop = n if cut is None else cut
+            if case == 2:
+                start_b, passed = stop, range(start_b, min(stop + 1, n))
+            else:
+                start_a, passed = stop, range(start_a, min(stop + 1, n))
+            for i in passed:
+                popularity = a[i] + b[i]
+                if popularity != s[i]:
+                    s[i] = popularity
+                    push(low, (popularity, i))
         total -= s[k]
 
     live = [i for i in range(n) if alive[i]]

@@ -7,6 +7,7 @@ import pytest
 
 from jointselect import (
     DegenerateProductError,
+    JointSelectionMatrix,
     TotalNotOneError,
     ValidationError,
     loss,
@@ -33,6 +34,21 @@ def test_uniform_entries():
 
     m50 = uniform_random(50)
     assert m50.entries[0, 1] == 1.0 / 2450.0
+
+
+def test_uniform_cells_equal_the_dense_built_matrix_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for n in [*range(2, 65), 1024]:
+        m = uniform_random(n)
+        entries = np.full((n, n), 1.0 / (n * (n - 1)))
+        np.fill_diagonal(entries, 0.0)
+        dense = JointSelectionMatrix(entries, 1.0)
+        for name in ("rows", "cols", "vals"):
+            assert getattr(m, name).tobytes() == getattr(dense, name).tobytes()
+        assert m.entries.tobytes() == dense.entries.tobytes()
+        assert m.entry_sum.hex() == dense.entry_sum.hex()
+        inst = validate_instance(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+        assert loss(m, inst).hex() == loss(dense, inst).hex()
 
 
 def test_uniform_rejects_single_arm():

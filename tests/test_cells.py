@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jointselect.core as core
 from jointselect import (
     JointSelectionMatrix,
     TotalMismatchError,
@@ -170,6 +171,10 @@ def random_cells(n: int, seed: int, shape: str) -> Cells:
     seed=st.integers(0, 2**32 - 1),
     shape=st.sampled_from(("any", "few", "full")),
 )
+# The largest N whose rows are summed from one dense copy, and the smallest
+# whose rows of three or more cells are summed from slabs.
+@example(n=128, seed=128, shape="any")
+@example(n=129, seed=129, shape="any")
 def test_cell_marginals_equal_the_dense_sums_bit_for_bit(n, seed, shape):
     m = JointSelectionMatrix(random_cells(n, seed, shape))
     dense = JointSelectionMatrix(np.array(m.entries))
@@ -196,6 +201,30 @@ def test_heavy_rows_over_several_slabs_equal_the_dense_sums_bit_for_bit(light):
     pi_a, pi_b = m.marginals
     assert pi_a.tobytes() == m.entries.sum(axis=1).tobytes()
     assert pi_b.tobytes() == m.entries.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 16, 64, 128, 129, 200])
+def test_dense_and_slab_row_sums_agree_bit_for_bit(monkeypatch, n):
+    # A matrix of at most DENSE_MARGINALS entries sums its rows from one
+    # dense copy, a larger one by bincount and slabs. Moving the bound sends
+    # the same cells down either path; neither forms the entries.
+    rng = np.random.default_rng(61 + n)
+    hot = validate_instance(
+        np.append(0.1 * rng.dirichlet(np.ones(n - 1)), 0.9),
+        np.append(0.5 * rng.dirichlet(np.ones(n - 1)), 0.5),
+    )
+    built = (construct_zero_loss(random_feasible_instance(rng, n)), min_loss_matrix(hot, n - 1))
+    cells = [Cells(n, m.rows, m.cols, m.vals) for m in built]
+    cells += [random_cells(n, n, "any"), random_cells(n, n, "full")]
+    sums = []
+    for bound in (0, n * n):
+        monkeypatch.setattr(core, "DENSE_MARGINALS", bound)
+        ms = [JointSelectionMatrix(c) for c in cells]
+        sums.append([b"".join(pi.tobytes() for pi in m.marginals) for m in ms])
+        assert not any("entries" in vars(m) for m in ms)
+    assert sums[0] == sums[1]
+    for m, got in zip(ms, sums[1]):
+        assert got == m.entries.sum(axis=1).tobytes() + m.entries.sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("draws", [1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK + 1])

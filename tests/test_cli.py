@@ -26,6 +26,7 @@ from jointselect import (
     uniform_random,
     validate_instance,
 )
+from jointselect.bench import MAX_N
 from jointselect.core import given_loss
 from jointselect.cli import main
 
@@ -338,6 +339,20 @@ def test_bench_rejects_bad_range(capsys):
     code, _, err = run(capsys, "bench", "--n-min", "2", "--n-max", "5")
     assert code == 2
     assert stderr_error(err)["error"] == "validation"
+
+
+def test_bench_bounds_its_largest_n(capsys):
+    # N = 20000 would ask each baseline for several 3.2 GB arrays.
+    code, _, err = run(capsys, "bench", "--n-min", "20000", "--n-max", "20000",
+                       "--methods", "uniform")
+    assert code == 2
+    assert stderr_error(err) == {
+        "error": "validation", "message": f"--n-max must be <= {MAX_N}, got 20000"
+    }
+    code, out, _ = run(capsys, "bench", "--n-min", str(MAX_N), "--n-max", str(MAX_N),
+                       "--families", "i", "--methods", "uniform")
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"i,{MAX_N},uniform,")
 
 
 # --------------------------------------------------------------------------

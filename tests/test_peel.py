@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ def test_one_validation_and_one_matrix_beyond_the_input(monkeypatch):
     construct_zero_loss(inst)
     assert calls["validate"] <= 2
     assert calls["matrix"] <= 2
+
+
+def traced_zero_loss_build(n: int) -> int:
+    """The traced peak of construct_zero_loss on Dirichlet(1) weights."""
+    inst = validate_instance(*dirichlet_within(np.random.default_rng(20229 + n), n, 1.0))
+    tracemalloc.start()
+    try:
+        construct_zero_loss(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_zero_loss_build_needs_memory_linear_in_its_cells():
+    # Growth pin, not a timing gate: 4 times the arms and cells, 16 times
+    # the entries. An N x N array anywhere in the build, such as one block
+    # of every row with three or more cells, would grow 16 times.
+    small, large = traced_zero_loss_build(2500), traced_zero_loss_build(10_000)
+    assert large <= 6 * small
 
 
 # --------------------------------------------------------------------------

@@ -137,7 +137,18 @@ def dust_fill(case: int, excess: float):
     need = 0.25 + 0.125 + 0.0625 + excess
     own = [need, 0.0, 0.0, 0.0]
     a, b = (own, spill) if case == 2 else (spill, own)
-    return need, zeroloss._fill_cells(a, b, 0, 1, 1e-9, [True] * 4, 0, 0)
+    keys, vals = [], []
+    alive = [False, True, True, True]  # K = 0 is peeled
+    got_case, cut = zeroloss._fill(a, b, 0, 1, 4, alive, 0, 0, 1e-9, keys, vals)
+    row, col = split_cells(0, 4, keys, vals)
+    return need, (got_case, cut, row, col)
+
+
+def split_cells(k: int, n: int, keys, vals):
+    """The (j, value) cells of row K and the (i, value) cells of column K, in fill order."""
+    row = [(key - k * n, x) for key, x in zip(keys, vals) if key // n == k]
+    col = [(key // n, x) for key, x in zip(keys, vals) if key // n != k]
+    return row, col
 
 
 @pytest.mark.parametrize("case", [2, 3])
@@ -335,16 +346,23 @@ def test_construct_identical_uniform_preferences():
 # --------------------------------------------------------------------------
 
 def edit_fills(monkeypatch, edit):
-    """Pass the peel's fills through ``edit(p, row, col)``, p counting from 0."""
-    real = zeroloss._fill_cells
+    """Pass the cells of the peel's fills through ``edit(p, row, col)``, p counting from 0.
+
+    The weights keep what the fill took off them: only the cells the
+    answer is assembled from change.
+    """
+    real = zeroloss._fill
     count = itertools.count()
 
-    def edited(*args):
-        case, cut, row, col = real(*args)
-        row, col = edit(next(count), list(row), list(col))
-        return case, cut, row, col
+    def edited(a, b, k, v, n, alive, start_a, start_b, tol, keys, vals):
+        first = len(keys)
+        case, cut = real(a, b, k, v, n, alive, start_a, start_b, tol, keys, vals)
+        row, col = edit(next(count), *split_cells(k, n, keys[first:], vals[first:]))
+        cells = [(k * n + j, x) for j, x in row] + [(i * n + k, x) for i, x in col]
+        keys[first:], vals[first:] = zip(*cells)
+        return case, cut
 
-    monkeypatch.setattr(zeroloss, "_fill_cells", edited)
+    monkeypatch.setattr(zeroloss, "_fill", edited)
 
 
 def move(amounts):
