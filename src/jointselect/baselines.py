@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Cells, JointSelectionMatrix, ProblemInstance, _require_unit_total
+from .core import Cells, JointSelectionMatrix, Mat, ProblemInstance, Vec, _require_unit_total
 from .errors import DegenerateProductError, ValidationError
 
 # Remaining-mass denominators at or below this are treated as exhausted and
@@ -49,6 +49,13 @@ def simultaneous_renormalization(inst: ProblemInstance) -> JointSelectionMatrix:
     return JointSelectionMatrix(products, 1.0)
 
 
+def _second_draw(w: Vec) -> Mat:
+    """Row i: ``w`` renormalized once arm i is drawn, 1/(N-1) where 1 - w_i is exhausted."""
+    rest = 1.0 - w
+    out = np.full((w.size, w.size), 1.0 / (w.size - 1))
+    return np.divide(w, rest[:, None], out=out, where=(rest > DEGENERATE_TOL)[:, None])
+
+
 def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
     """Average of the two draw orders, each renormalizing the second player.
 
@@ -59,21 +66,8 @@ def random_order(inst: ProblemInstance) -> JointSelectionMatrix:
     where that rule fired.
     """
     _require_unit_total(inst.total, "random order")
-    n = inst.n
     a, b = inst.a, inst.b
-    first_a = np.empty((n, n))
-    for i in range(n):
-        rest = 1.0 - b[i]
-        first_a[i, :] = b / rest if rest > DEGENERATE_TOL else 1.0 / (n - 1)
-    first_a *= a[:, None]
-
-    first_b = np.empty((n, n))
-    for j in range(n):
-        rest = 1.0 - a[j]
-        first_b[:, j] = a / rest if rest > DEGENERATE_TOL else 1.0 / (n - 1)
-    first_b *= b[None, :]
-
-    entries = 0.5 * (first_a + first_b)
+    entries = 0.5 * (_second_draw(b) * a[:, None] + _second_draw(a).T * b[None, :])
     np.fill_diagonal(entries, 0.0)
     return JointSelectionMatrix(entries, 1.0)
 

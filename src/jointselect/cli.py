@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .core import (
     _csv_rows,
+    _json_reals,
     dumps,
     given_loss,
     instance_from_json,
@@ -273,7 +274,7 @@ def cmd_feasibility(args) -> int:
     obj = _read_json(args.input)
     if not isinstance(obj, dict) or "players" not in obj:
         raise ValidationError('feasibility input must be a JSON object with "players"')
-    prefs = validate_multi(obj["players"])
+    prefs = validate_multi(_json_reals(obj["players"], "multi-player weights"))
     if args.players is not None and args.players != prefs.n_players:
         raise DimensionMismatchError(
             f"--players says {args.players}, input has {prefs.n_players} rows"

@@ -194,6 +194,19 @@ def _floats(x, what: str) -> NDArray[np.float64]:
         raise ValidationError(f"{what} must be an array of real numbers: {exc}") from None
 
 
+def _json_reals(x, what: str) -> NDArray[np.float64]:
+    """``_floats(x, what)`` for a value read from JSON: ValidationError for
+    true, false and strings, which numpy reads as 1.0, 0.0 and numbers."""
+    arr = _floats(x, what)
+    leaves = [x]
+    for _ in range(arr.ndim):
+        leaves = [v for row in leaves for v in row]
+    if not {bool, str}.isdisjoint(map(type, leaves)):
+        bad = next(v for v in leaves if isinstance(v, (bool, str)))
+        raise ValidationError(f"{what} must be numbers, got {bad!r}")
+    return arr
+
+
 def _json_total(obj: dict) -> float:
     total = obj.get("total", 1.0)
     if not isinstance(total, (int, float)) or isinstance(total, bool):
@@ -702,7 +715,8 @@ def instance_from_json(obj: dict) -> ProblemInstance:
     for key in ("a", "b"):
         if key not in obj:
             raise ValidationError(f'preference input is missing key "{key}"')
-    return validate_instance(obj["a"], obj["b"], _json_total(obj))
+    a, b = (_json_reals(obj[key], "preference weights") for key in ("a", "b"))
+    return validate_instance(a, b, _json_total(obj))
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:
@@ -724,7 +738,7 @@ def matrix_from_json(obj: dict) -> JointSelectionMatrix:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f'"n" must be an integer >= 2, got {n!r}')
-    entries = _floats(obj["entries"], '"entries"')
+    entries = _json_reals(obj["entries"], '"entries"')
     if entries.ndim != 1:
         raise ValidationError(
             f'"entries" must be a flat row-major list, got shape {entries.shape}'

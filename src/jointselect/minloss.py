@@ -123,8 +123,8 @@ class KktCertificate:
             return False
         # A matrix of total 1 has no negative entry and, as its construction
         # proved, a dense-order sum within SUM_RTOL of 1: its primal residual
-        # is at most SUM_RTOL.
-        if self.matrix.total == 1.0 and SUM_RTOL <= RESIDUAL_TOL:
+        # is at most SUM_RTOL, which is no more than RESIDUAL_TOL.
+        if self.matrix.total == 1.0:
             return True
         return self.residuals.max() <= RESIDUAL_TOL
 

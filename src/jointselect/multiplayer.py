@@ -11,7 +11,8 @@ S_i > 1, zero loss is impossible for every M (each unit of probability
 feeds arm i through at most one player). The converse is proven only for
 M = 2, so for M >= 3 the verdict says "conjectured". `solve_multi_min_loss`
 runs the package's projected-gradient loop (`oracle.descend`) over the
-tuple simplex at desk scale; at M = 2 it is the two-player oracle.
+tuple simplex, up to `oracle.MAX_TUPLES` tuples; at M = 2 it is the
+two-player oracle. The loss and marginals work at any size.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import permutations
 from types import MappingProxyType
 from typing import Mapping
 
@@ -29,16 +29,12 @@ from numpy.typing import NDArray
 from .core import SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _positions, _sum
 from .errors import (
     DimensionMismatchError,
-    DimensionTooLargeError,
     NonDistinctKeyError,
     TooFewArmsError,
     TotalMismatchError,
     ValidationError,
 )
-from .oracle import descend
-
-MAX_ARMS = 8
-MAX_PLAYERS = 4
+from .oracle import _tuples, descend
 
 
 class Feasibility(str, Enum):
@@ -173,14 +169,6 @@ def feasibility_verdict(prefs: MultiPreferences) -> Feasibility:
     return Feasibility.CONJECTURED_FEASIBLE
 
 
-def _check_desk_scale(prefs: MultiPreferences) -> None:
-    if prefs.n_arms > MAX_ARMS or prefs.n_players > MAX_PLAYERS:
-        raise DimensionTooLargeError(
-            f"desk scale is N <= {MAX_ARMS}, M <= {MAX_PLAYERS}; "
-            f"got N={prefs.n_arms}, M={prefs.n_players}"
-        )
-
-
 def tensor_marginals(prefs: MultiPreferences, tensor: JointTensorSparse) -> NDArray[np.float64]:
     """Satisfied preferences: pi[x, i] sums entries whose x-th component is i."""
     if tensor.n_arms != prefs.n_arms or tensor.n_players != prefs.n_players:
@@ -194,7 +182,6 @@ def tensor_marginals(prefs: MultiPreferences, tensor: JointTensorSparse) -> NDAr
 
 def multi_loss(prefs: MultiPreferences, tensor: JointTensorSparse) -> float:
     """Sum over players of the squared marginal mismatch."""
-    _check_desk_scale(prefs)
     pi = tensor_marginals(prefs, tensor)
     gaps = pi - prefs.weights
     return float((gaps * gaps).sum())
@@ -219,11 +206,10 @@ def solve_multi_min_loss(
     this is exactly `oracle.solve_min_loss`: the same coordinates, the step
     1/(4(N-1)), and the same iterates.
     """
-    _check_desk_scale(prefs)
     m, n = prefs.n_players, prefs.n_arms
     if n < m:
         raise TooFewArmsError(f"{m} players need at least {m} arms, got {n}")
-    coords = np.array(list(permutations(range(n), m)), dtype=np.intp)
+    coords = _tuples(n, m)
     p, iterations, gap = descend(coords, prefs.weights, tol, max_iter)
     tensor = JointTensorSparse((coords, p), n, m)
     return MultiOracleResult(tensor, multi_loss(prefs, tensor), iterations, gap, gap <= tol)
@@ -232,8 +218,6 @@ def solve_multi_min_loss(
 __all__ = [
     "Feasibility",
     "JointTensorSparse",
-    "MAX_ARMS",
-    "MAX_PLAYERS",
     "MultiOracleResult",
     "MultiPreferences",
     "feasibility_verdict",

@@ -18,6 +18,7 @@ from jointselect import (
     uniform_random,
     validate_instance,
 )
+from jointselect.baselines import DEGENERATE_TOL
 
 from conftest import ORDER_TABLE1, RENORM_TABLE1, random_feasible_instance
 
@@ -147,6 +148,38 @@ def test_random_order_total_is_one_on_random_instances():
             inst = random_feasible_instance(rng, n)
             m = random_order(inst)
             assert abs(float(m.entries.sum()) - 1.0) <= 1e-9
+
+
+def loop_random_order(inst) -> np.ndarray:
+    """random_order's dense entries, one row or column at a time."""
+    n, a, b = inst.n, inst.a, inst.b
+    first_a = np.empty((n, n))
+    for i in range(n):
+        rest = 1.0 - b[i]
+        first_a[i, :] = b / rest if rest > DEGENERATE_TOL else 1.0 / (n - 1)
+    first_a *= a[:, None]
+    first_b = np.empty((n, n))
+    for j in range(n):
+        rest = 1.0 - a[j]
+        first_b[:, j] = a / rest if rest > DEGENERATE_TOL else 1.0 / (n - 1)
+    first_b *= b[None, :]
+    entries = 0.5 * (first_a + first_b)
+    np.fill_diagonal(entries, 0.0)
+    return entries
+
+
+def test_random_order_equals_the_loop_form_bit_for_bit():
+    rng = np.random.default_rng(88)
+    cases = [validate_instance(*rng.dirichlet(np.ones(n), size=2))
+             for n in (2, 3, 5, 17, 64, 200) for _ in range(8)]
+    for n in (2, 3, 9):
+        # one-hot players fire the uniform-remainder rule, each order or both
+        hot, spread = np.eye(n)[n - 1], rng.dirichlet(np.ones(n))
+        cases += [validate_instance(hot, hot), validate_instance(hot, spread),
+                  validate_instance(spread, hot), validate_instance(hot, np.eye(n)[0])]
+    assert any(random_order_degeneracies(inst) for inst in cases)
+    for inst in cases:
+        assert random_order(inst).entries.tobytes() == loop_random_order(inst).tobytes()
 
 
 def test_random_order_requires_unit_total():

@@ -566,7 +566,57 @@ def test_verify_oracle_accepts_a_zero_tolerance(capsys, table1_file):
     assert json.loads(out)["oracle"]["iterations"] >= 1
 
 
+@pytest.mark.parametrize("n, code", [(13, 0), (51, 2)])
+def test_verify_oracle_reaches_fifty_arms(capsys, tmp_path, n, code):
+    # The oracle's bound is perm(50, 2) tuples: 13 arms were once refused.
+    path = tmp_path / "p.json"
+    weights = np.arange(1.0, n + 1) / (n * (n + 1) / 2)
+    path.write_text(json.dumps({"a": weights.tolist(), "b": weights[::-1].tolist()}))
+    got, out, err = run(capsys, "verify", str(path), "--oracle")
+    assert got == code
+    if code:
+        assert out == ""
+        assert stderr_error(err)["error"] == "dimension-too-large"
+    else:
+        assert json.loads(out)["oracle"]["converged"] is True
+
+
 SAMPLE_10 = ["sample", "--seed", "1", "--draws", "10"]
+
+# numpy reads true and false as 1.0 and 0.0, and "0.5" as 0.5; JSON input
+# takes numbers alone, as "total" always did.
+JSON_NON_NUMBERS = pytest.mark.parametrize(
+    "bad, shown", [("0.5", "'0.5'"), (True, "True"), (False, "False")],
+    ids=["string", "true", "false"],
+)
+
+
+@JSON_NON_NUMBERS
+def test_construct_reads_numbers_alone(capsys, tmp_path, bad, shown):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"a": [0.5, 0.5], "b": [bad, 0.5]}))
+    code, out, err = run(capsys, "construct", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": f"preference weights must be numbers, got {shown}"}
+
+
+@JSON_NON_NUMBERS
+def test_sample_reads_numbers_alone(capsys, tmp_path, bad, shown):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [0, 0.5, bad, 0]}))
+    code, out, err = run(capsys, "sample", str(path), "--seed", "1", "--draws", "10")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": f'"entries" must be numbers, got {shown}'}
+
+
+@JSON_NON_NUMBERS
+def test_feasibility_reads_numbers_alone(capsys, tmp_path, bad, shown):
+    code, out, err = run(capsys, "feasibility", feas_file(tmp_path, [[0.5, 0.5], [bad, 0.5]]))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": f"multi-player weights must be numbers, got {shown}"}
 
 
 @pytest.mark.parametrize(

@@ -362,6 +362,12 @@ def test_hot_arm_dispatch_holds_one_dense_array():
 # the verdict without the dense-order total
 # --------------------------------------------------------------------------
 
+def test_a_unit_total_proves_the_primal_residual_within_the_kkt_tolerance():
+    # valid skips the dense-order total for a matrix of total 1: its
+    # construction proved the sum within SUM_RTOL of 1, no more than RESIDUAL_TOL.
+    assert core.SUM_RTOL <= RESIDUAL_TOL
+
+
 def decides_as_residuals(cert) -> bool:
     """Whether ``valid`` agrees with the four residuals, read afterwards."""
     verdict = cert.valid

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from jointselect import (
     tensor_marginals,
     validate_multi,
 )
+from jointselect import oracle
 from jointselect.errors import DimensionTooLargeError
 
 from conftest import TABLE1_A, TABLE1_B, random_feasible_instance, random_hot_instance
@@ -144,13 +146,27 @@ def test_marginals_dimension_checks(table1):
         tensor_marginals(prefs, tensor)
 
 
-def test_desk_scale_is_enforced():
-    prefs = validate_multi(np.full((2, 9), 1.0 / 9.0))
-    tensor = JointTensorSparse({(0, 1): 1.0}, n_arms=9, n_players=2)
-    with pytest.raises(DimensionTooLargeError):
-        multi_loss(prefs, tensor)
-    with pytest.raises(DimensionTooLargeError):
-        solve_multi_min_loss(validate_multi(np.full((5, 6), 1.0 / 6.0)))
+def test_desk_scale_is_enforced(monkeypatch):
+    # Each edge is one arm past MAX_TUPLES = perm(50, 2) tuples; it is
+    # refused from the count alone, before any tuple is built.
+    def no_tuples(*args):
+        raise AssertionError("tuples built past the bound")
+
+    monkeypatch.setattr(oracle, "permutations", no_tuples)
+    for m, n in ((2, 51), (3, 15), (4, 9), (5, 7), (7, 7)):
+        assert math.perm(n, m) > oracle.MAX_TUPLES >= math.perm(n - 1, m)
+        with pytest.raises(DimensionTooLargeError, match=f"N={n}, M={m} has"):
+            solve_multi_min_loss(validate_multi(np.full((m, n), 1.0 / n)))
+
+
+def test_multi_loss_works_at_any_size():
+    # Player 0 takes arm i and player 1 arm i + 1, each with 1/N: both are
+    # satisfied exactly by uniform preferences, at 10^4 arms.
+    n = 10_000
+    arms = np.arange(n)
+    tensor = JointTensorSparse((np.column_stack((arms, (arms + 1) % n)), np.full(n, 1.0 / n)),
+                               n_arms=n, n_players=2)
+    assert multi_loss(validate_multi(np.full((2, n), 1.0 / n)), tensor) <= 1e-30
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +259,19 @@ def test_two_player_oracle_is_the_two_player_tuple_oracle():
             assert len(multi.tensor.entries) == n * (n - 1)
             for (i, j), value in multi.tensor.entries.items():
                 assert value == pair.matrix.entries[i, j]
+
+
+@pytest.mark.parametrize("m, n", [(3, 14), (4, 8), (5, 6)])
+def test_multi_oracle_converges_up_to_the_tuple_bound(m, n):
+    # The largest N for three, four and five players within MAX_TUPLES.
+    d = math.perm(n, m)
+    assert d <= oracle.MAX_TUPLES
+    prefs = validate_multi(np.random.default_rng(5).dirichlet(np.ones(n), size=m))
+    result = solve_multi_min_loss(prefs)
+    assert result.converged
+    assert result.gradient_mapping_norm <= 1e-10
+    uniform = JointTensorSparse((oracle._tuples(n, m), np.full(d, 1.0 / d)), n, m)
+    assert result.loss <= multi_loss(prefs, uniform)
 
 
 def test_multi_oracle_needs_enough_arms():

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointselect import (
+    FAMILIES,
     TotalNotOneError,
     ValidationError,
     loss,
     min_loss_value,
     optimal_satisfaction_matrix,
+    preference_family,
     project_simplex,
     random_order,
     solve_min_loss,
@@ -108,6 +110,16 @@ def test_oracle_sandwiched_between_bound_and_baselines():
             assert got.loss <= optimal_satisfaction_matrix(inst).loss + 1e-6
 
 
+@pytest.mark.parametrize("n", [13, 30, 50])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_reaches_the_closed_form_up_to_fifty_arms(family, n):
+    # 50 arms is the bound: perm(50, 2) = MAX_TUPLES coordinates.
+    inst = preference_family(family, n)
+    result = solve_min_loss(inst)
+    assert result.converged
+    assert result.loss == pytest.approx(min_loss_value(inst), abs=1e-9)
+
+
 def test_oracle_reports_exhaustion_honestly():
     rng = np.random.default_rng(15)
     inst = random_feasible_instance(rng, 6)
@@ -120,8 +132,8 @@ def test_oracle_reports_exhaustion_honestly():
 
 def test_oracle_rejects_out_of_scope_inputs():
     rng = np.random.default_rng(2)
-    with pytest.raises(DimensionTooLargeError):
-        solve_min_loss(random_feasible_instance(rng, 13))
+    with pytest.raises(DimensionTooLargeError, match="at most 2450 tuples; N=51, M=2 has 2550"):
+        solve_min_loss(random_feasible_instance(rng, 51))
     with pytest.raises(TotalNotOneError):
         solve_min_loss(validate_instance([0.1, 0.2], [0.15, 0.15], total=0.3))
 
