@@ -23,11 +23,12 @@ certificates and sampling read those. Dense entries, given instead, enter
 as the cells of every entry that is not +0.0 and are not kept, so one
 validator (`_cell_store`) checks every matrix. A matrix forms no N x N
 array: its dense `entries` is scattered on first read, for the output
-formats, and its total in numpy's dense order is computed from the cells
-by a replica of numpy's pairwise summation (`_dense_order_sum`), in
-O(cells) scratch and with no kept state. Its marginals are summed from the
-cells too; only a matrix of at most DENSE_MARGINALS entries (N <= 128)
-sums its rows from a dense copy, which it does not keep.
+formats. Its total in numpy's dense order is computed from the cells by
+a replica of numpy's pairwise summation (`_pairwise_sums`), in O(cells)
+scratch and with no kept state, and so are its rows of many cells when a
+dense block of them would be large. Its other marginals are summed from
+the cells by bincount; only a matrix of at most DENSE_MARGINALS entries
+(N <= 128) sums its rows from a dense copy, which it does not keep.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ SAMPLE_CHUNK = 1 << 16
 # sample_joint adds its counts in floats, which count exactly up to 2**53.
 MAX_DRAWS = 1 << 53
 
-# JointSelectionMatrix.marginals sums its rows of three or more cells from
-# dense rows, as many at a time as fit in this many entries (one row at
-# least), so that its working memory stays the same however many such
-# rows there are.
+# JointSelectionMatrix.marginals sums its rows of three or more cells as
+# one dense block of those rows when the block holds at most this many
+# entries, and by the pairwise-sum replica otherwise, so that its working
+# memory stays O(cells). The block is the faster for a few rows, the
+# replica for many.
 ROW_SLAB = 1 << 20
 
 # A matrix of at most this many entries (N <= 128) sums its rows in
@@ -114,12 +116,16 @@ def _run_starts(key: NDArray[np.intp]) -> NDArray[np.bool_]:
     return first
 
 
-def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
-    """``float(a.sum())`` of the float64 array ``a`` of this length that holds
-    ``vals`` at the strictly increasing positions ``pos`` and 0 elsewhere.
+def _pairwise_sums(
+    length: int, seg: NDArray[np.intp] | int, pos: NDArray[np.intp], vals: Vec, count: int
+) -> Vec:
+    """``a.sum(axis=1)`` of the ``count`` x ``length`` float64 array ``a``
+    that holds ``vals`` at rows ``seg`` and columns ``pos``, and 0 elsewhere.
+    ``seg`` is nondecreasing (or one int for every cell), and ``pos`` is
+    strictly increasing within each row.
 
-    The sum is numpy's pairwise summation of ``a`` (``pairwise_sum`` in
-    numpy's umath loops), replayed without forming ``a``. numpy adds an
+    Each row sum is numpy's pairwise summation of the row (``pairwise_sum``
+    in numpy's umath loops), replayed without forming ``a``. numpy adds an
     array of fewer than 8 elements one by one, starting from +0.0. A block
     of 8 to 128 elements is summed in 8 lanes, lane j adding elements j,
     j + 8, ... in order; then the lanes are added as
@@ -129,11 +135,13 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     nonzero partial sum as it is, and numpy's result starts from +0.0, so
     the zeros of ``a`` are left out: each cell finds its block by walking
     that split tree down from the root, and the block sums are added
-    upward, level by level, over the nodes that hold cells. It keeps no
-    state and needs O(pos.size) scratch.
+    upward, level by level, over the nodes that hold cells. The tree
+    depends only on ``length``, so one walk serves every row. It keeps no
+    state and needs O(pos.size + count) scratch.
     """
+    sums = np.zeros(count)
     if pos.size == 0:
-        return 0.0
+        return sums
     # The last node of each level is the largest, so the deepest block is
     # on the last path: it takes `levels` splits to reach.
     levels, last = 0, length
@@ -147,8 +155,10 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     # the tail, so at the last split level all hold 15 chunks or more, and
     # each node above it has two such children. A block stays the left
     # child, so that at the last level each block is its first node, and
-    # the nodes grow with the positions.
+    # the nodes grow with the positions. The walk starts from the row, so
+    # that a node is keyed (row << levels) | node, and the keys grow too.
     node = np.zeros(pos.size, dtype=np.intp)
+    node += seg
     at = pos.copy()
     size = np.full(pos.size, length, dtype=np.intp)
     for level in range(levels):
@@ -164,26 +174,34 @@ def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
     first = _run_starts(node)
     live = node[first]
     rank = np.add.accumulate(first, dtype=np.intp)  # 1 + the block of each cell
-    # The elements past the last multiple of 8 are the last block's tail.
-    inner = int(np.searchsorted(pos, length & ~7))
+    # The elements past the last multiple of 8 are the tail of a row's last block.
+    inner = pos < (length & ~7)
     # bincount adds the weights of one bin in input order, from +0.0; its
     # first 8 bins, those of rank 0, are empty. Blocks start at multiples
     # of 8, so a cell's lane is its position mod 8.
-    lanes = np.bincount(8 * rank[:inner] + (pos[:inner] & 7), vals[:inner], 8 * live.size + 8)[8:]
+    lanes = np.bincount(8 * rank[inner] + (pos[inner] & 7), vals[inner], 8 * live.size + 8)[8:]
     lanes = lanes.astype(np.float64, copy=False).reshape(-1, 8)  # bincount of nothing is int
     for _ in range(3):
         lanes = lanes[:, 0::2] + lanes[:, 1::2]
-    sums = lanes.ravel()
-    for x in vals[inner:].tolist():  # the tail, in the last block
-        sums[-1] += x
+    block = lanes.ravel()
+    tail = ~inner
+    np.add.at(block, rank[tail] - 1, vals[tail])  # one by one, in order
     # No sum is -0.0, so a node with one child holding cells takes its sum
     # as it is, the bits of that sum plus the other child's +0.0.
     for _ in range(levels):
         live >>= 1
         first = _run_starts(live)
-        sums = np.add.reduceat(sums, np.flatnonzero(first))
+        block = np.add.reduceat(block, np.flatnonzero(first))
         live = live[first]
-    return float(sums[0])
+    sums[live] = block
+    return sums
+
+
+def _dense_order_sum(length: int, pos: NDArray[np.intp], vals: Vec) -> float:
+    """``float(a.sum())`` of the float64 array ``a`` of this length that holds
+    ``vals`` at the strictly increasing positions ``pos`` and 0 elsewhere:
+    the one-row case of `_pairwise_sums`."""
+    return float(_pairwise_sums(length, 0, pos, vals, 1)[0])
 
 
 def _floats(x, what: str) -> NDArray[np.float64]:
@@ -528,13 +546,16 @@ class JointSelectionMatrix:
         sums the row-major cells. A row is summed pairwise, which differs
         from bincount's order only when it holds three or more nonzero
         cells (x + y is one rounding either way), so those rows alone are
-        scattered into dense rows, ROW_SLAB entries at a time, and summed by
-        numpy; zeros do not change a sum of positive cells. A matrix of at
-        most DENSE_MARGINALS entries scatters all its cells, as ``entries``
-        holds them, into one local dense copy and sums its rows in one call,
-        which costs less than finding those rows; ``entries`` stays unformed.
-        tests/test_cells.py holds numpy to this, so a numpy upgrade that
-        changes its summation order fails there.
+        summed pairwise: by numpy from one dense block of them if it holds
+        at most ROW_SLAB entries (zeros do not change a sum of positive
+        cells), and otherwise by `_pairwise_sums`, numpy's pairwise
+        summation replayed from their cells. A matrix of at most
+        DENSE_MARGINALS entries scatters all its cells, as ``entries`` holds
+        them, into one local dense copy and sums its rows in one call, which
+        costs less than finding those rows; ``entries`` stays unformed.
+        tests/test_cells.py and tests/test_dense_order_sum.py hold numpy to
+        this, so a numpy upgrade that changes its summation order fails
+        there.
         """
         n = self.n
         if n * n <= DENSE_MARGINALS:
@@ -545,17 +566,16 @@ class JointSelectionMatrix:
         else:
             pi_a = np.bincount(self.rows, self.vals, n)
             heavy = np.bincount(self.rows, minlength=n) >= 3
-            if np.count_nonzero(heavy):
-                which = np.flatnonzero(heavy)
+            which = np.flatnonzero(heavy)
+            if which.size:
                 take = heavy[self.rows]
-                slot = np.searchsorted(which, self.rows[take])  # the heavy row of each cell
-                cols, vals = self.cols[take], self.vals[take]
-                per = max(1, ROW_SLAB // n)  # rows per slab
-                for start in range(0, which.size, per):
-                    lo, hi = np.searchsorted(slot, (start, start + per))
-                    slab = np.zeros((min(per, which.size - start), n))
-                    slab[slot[lo:hi] - start, cols[lo:hi]] = vals[lo:hi]
-                    pi_a[which[start : start + per]] = slab.sum(axis=1)
+                rows, cols, vals = self.rows[take], self.cols[take], self.vals[take]
+                if which.size * n <= ROW_SLAB:
+                    block = np.zeros((which.size, n))
+                    block[np.searchsorted(which, rows), cols] = vals
+                    pi_a[which] = block.sum(axis=1)
+                else:
+                    pi_a[which] = _pairwise_sums(n, rows, cols, vals, n)[which]
         pi_b = np.bincount(self.cols, self.vals, n)
         pi_a.setflags(write=False)
         pi_b.setflags(write=False)

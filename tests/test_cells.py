@@ -172,7 +172,7 @@ def random_cells(n: int, seed: int, shape: str) -> Cells:
     shape=st.sampled_from(("any", "few", "full")),
 )
 # The largest N whose rows are summed from one dense copy, and the smallest
-# whose rows of three or more cells are summed from slabs.
+# whose rows of three or more cells are summed apart from the others.
 @example(n=128, seed=128, shape="any")
 @example(n=129, seed=129, shape="any")
 def test_cell_marginals_equal_the_dense_sums_bit_for_bit(n, seed, shape):
@@ -187,8 +187,9 @@ def test_cell_marginals_equal_the_dense_sums_bit_for_bit(n, seed, shape):
 
 @pytest.mark.parametrize("light", [0, 3], ids=["every-row-full", "every-third-row-light"])
 def test_heavy_rows_over_several_slabs_equal_the_dense_sums_bit_for_bit(light):
-    # Rows of three or more cells are summed from dense rows, ROW_SLAB
-    # entries at a time: 1,500 full rows take three slabs (699, 699, 102).
+    # Rows of three or more cells whose dense block would hold more than
+    # ROW_SLAB entries are summed by the pairwise-sum replica: 1,500 full
+    # rows hold over twice as many.
     n = 1500
     assert n * n > 2 * ROW_SLAB
     rng = np.random.default_rng(59)
@@ -206,8 +207,9 @@ def test_heavy_rows_over_several_slabs_equal_the_dense_sums_bit_for_bit(light):
 @pytest.mark.parametrize("n", [3, 16, 64, 128, 129, 200])
 def test_dense_and_slab_row_sums_agree_bit_for_bit(monkeypatch, n):
     # A matrix of at most DENSE_MARGINALS entries sums its rows from one
-    # dense copy, a larger one by bincount and slabs. Moving the bound sends
-    # the same cells down either path; neither forms the entries.
+    # dense copy, a larger one by bincount and, for its rows of three or
+    # more cells, pairwise. Moving the bound sends the same cells down
+    # either path; neither forms the entries.
     rng = np.random.default_rng(61 + n)
     hot = validate_instance(
         np.append(0.1 * rng.dirichlet(np.ones(n - 1)), 0.9),

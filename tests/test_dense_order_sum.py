@@ -1,5 +1,6 @@
 """The replica of numpy's pairwise summation that gives a cell-built matrix
-its dense-order total without the dense array (core._dense_order_sum).
+its dense-order total and row sums without the dense array
+(core._pairwise_sums, and core._dense_order_sum, its one-row case).
 
 It is checked against a plain-Python transcription of numpy's
 ``pairwise_sum`` kept here, and against numpy's own ``sum`` of the dense
@@ -16,7 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointselect.core import Cells, JointSelectionMatrix, _dense_order_sum
+import jointselect.core as core
+from jointselect import construct_zero_loss
+from jointselect.core import Cells, JointSelectionMatrix, _dense_order_sum, _pairwise_sums
+
+from conftest import random_feasible_instance
 
 
 def pairwise(a: dict[int, float], live: list[int], lo: int, n: int) -> float:
@@ -153,6 +158,7 @@ def test_totals_and_row_sums_equal_numpy_bit_for_bit(matrix):
     for i in range(n):
         row = rows == i
         assert_same_float(_dense_order_sum(n, cols[row], vals[row]), want[i])
+    assert _pairwise_sums(n, rows, cols, vals, n).tobytes() == want.tobytes()
 
 
 # A length whose nodes hold 8 chunks (pairs of them are one block), and one
@@ -194,3 +200,54 @@ def test_the_total_of_a_hot_arm_matrix_needs_scratch_linear_in_its_cells():
     # blocks, about N^2/64 nodes) would grow 16 times.
     small, large = traced_hot_arm_total(2500), traced_hot_arm_total(10_000)
     assert large <= 6 * small
+
+
+def random_matrix_cells(rng: np.random.Generator, n: int, full: bool) -> Cells:
+    """Every off-diagonal cell, or a share of each row drawn anew per row,
+    with values over eight decades."""
+    keep = ~np.eye(n, dtype=bool)
+    if not full:
+        keep &= rng.random((n, n)) < rng.random((n, 1))
+    rows, cols = np.nonzero(keep)
+    vals = spread_values(rng, rows.size)
+    return Cells(n, rows, cols, vals / vals.sum())
+
+
+@pytest.mark.parametrize("n", [129, 200, 1025])
+def test_both_heavy_row_routes_equal_the_dense_row_sums_bit_for_bit(monkeypatch, n):
+    # marginals sums the rows of three or more cells as one dense block
+    # when those rows hold at most ROW_SLAB entries, and by _pairwise_sums
+    # otherwise. A bound of 0 sends every such row to the replica, one of
+    # n * n every one to the block; neither forms the entries.
+    rng = np.random.default_rng(67 + n)
+    answer = construct_zero_loss(random_feasible_instance(rng, n))
+    hot = hot_arm_positions(n, n // 3)
+    hot_vals = spread_values(rng, hot.size)
+    cells = [
+        Cells(n, answer.rows, answer.cols, answer.vals),
+        Cells(n, *np.divmod(hot, n), hot_vals / hot_vals.sum()),
+        random_matrix_cells(rng, n, full=False),
+        random_matrix_cells(rng, n, full=True),
+    ]
+    for bound in (0, n * n):
+        monkeypatch.setattr(core, "ROW_SLAB", bound)
+        ms = [JointSelectionMatrix(c) for c in cells]
+        sums = [m.marginals[0].tobytes() for m in ms]
+        assert not any("entries" in vars(m) for m in ms)
+        assert sums == [m.entries.sum(axis=1).tobytes() for m in ms]
+
+
+def test_the_row_sums_of_a_zero_loss_answer_need_little_scratch():
+    # The Dirichlet(1) answer at N = 10**4 has about 2,200 rows of three or
+    # more cells. Dense copies of them, even ROW_SLAB entries at a time,
+    # peak at about 17 MB; the replica needs O(cells), about 2 MB.
+    n = 10_000
+    answer = construct_zero_loss(random_feasible_instance(np.random.default_rng(71), n))
+    m = JointSelectionMatrix(Cells(n, answer.rows, answer.cols, answer.vals))
+    tracemalloc.start()
+    try:
+        m.marginals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
