@@ -20,8 +20,9 @@ A JointSelectionMatrix is stored as its nonzero off-diagonal cells
 (rows, cols, vals) in row-major order: the package's builders hand over
 the cells they already know (a `Cells` value), and validation, marginals,
 certificates and sampling read those. Dense entries, given instead, enter
-as the cells of every entry that is not +0.0 and are not kept, so one
-validator (`_cell_store`) checks every matrix. A matrix forms no N x N
+as the cells of every nonzero entry and are not kept, so one validator
+(`_cell_store`) checks every matrix, its values by the check every
+weight array passes (`_clean_weights`). A matrix forms no N x N
 array: its dense `entries` is scattered on first read, for the output
 formats. Its total in numpy's dense order is computed from the cells by
 a replica of numpy's pairwise summation (`_pairwise_sums`), in O(cells)
@@ -243,8 +244,9 @@ def _finite_total(total: float) -> float:
 
 
 def _clean_weights(w: NDArray[np.float64], what: str) -> tuple[Vec, float]:
-    """The value checks every weight array passes; callers check its shape
-    and hand over an array of their own, which is made read-only.
+    """The value checks every array of weights, tensor values or matrix
+    cells passes; callers check its shape and hand over a nonempty array
+    of their own, which is made read-only.
 
     Values must be finite and no lower than -1e-12; what remains below zero
     (including -0.0) is clamped to +0.0, in a copy. The min shows NaN and
@@ -385,12 +387,12 @@ class Cells(NamedTuple):
 
 
 def _dense_cells(e) -> Cells:
-    """Dense entries as the cells of every entry whose bits are not those of
-    +0.0: NaN stays a cell for the validator to see, and -0.0 stays -0.0."""
+    """Dense entries as the cells of every nonzero entry: NaN stays a cell
+    for the validator to see."""
     e = np.asarray(e, dtype=np.float64, order="C")
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {e.shape}")
-    key = np.flatnonzero(e.view(np.int64))
+    key = np.flatnonzero(e)
     return Cells(e.shape[0], *np.divmod(key, e.shape[0]), e.ravel()[key])
 
 
@@ -405,15 +407,14 @@ def _positions(x, n: int) -> NDArray[np.intp]:
     return x
 
 
-def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
+def _cell_store(c: Cells) -> tuple[int, float, tuple]:
     """Validate the cells of a matrix: every JointSelectionMatrix goes through here.
 
-    The checks run in a fixed order: the positions, non-finite values, the
-    clamp, the diagonal (a cell on it must be 0 after the clamp); the total
-    is checked by the caller. Returns n, the minimum and the maximum entry,
-    the (rows, cols, vals) of the nonzero off-diagonal cells, and the flat
-    positions and values of all the cells as validated: zeros of either
-    sign included, clamped cells at +0.0.
+    The checks run in a fixed order: the positions, the values by the
+    weights' check (`_clean_weights`: non-finite values, then the clamp),
+    the diagonal (a cell on it must be 0 after the clamp); the total is
+    checked by the caller. Returns n, the largest entry and the (rows,
+    cols, vals) of the nonzero off-diagonal cells.
     """
     n = c.n
     if not isinstance(n, (int, np.integer)):
@@ -428,23 +429,15 @@ def _cell_store(c: Cells) -> tuple[int, float, float, tuple, tuple]:
     key = rows * n + cols
     if np.count_nonzero(key[1:] <= key[:-1]):
         raise ValidationError("cells must be distinct and in row-major order")
-    # Every entry outside the cells is +0.0, the diagonal at least. min
-    # shows NaN and -inf, and max +inf.
-    lo, hi = float(vals.min(initial=0.0)), float(vals.max(initial=0.0))
-    if not (isfinite(lo) and isfinite(hi)):
-        raise ValidationError("matrix contains non-finite entries")
-    if lo < -ENTRY_CLAMP:
-        raise ValidationError(f"matrix entries below the {-ENTRY_CLAMP:g} clamp: min = {lo:.3e}")
-    if lo < 0.0:
-        vals[vals < 0.0] = 0.0
-        lo = 0.0
+    hi = 0.0  # every entry outside the cells is 0
+    if vals.size:
+        vals, hi = _clean_weights(vals, "matrix")
     if np.count_nonzero(vals[rows == cols]):
         raise ValidationError(_DIAGONAL_ERROR)
-    placed = (key, vals)
     if np.count_nonzero(vals) < vals.size:  # zeros, the diagonal's among them
         nonzero = vals != 0.0
         rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
-    return n, lo, hi, (rows, cols, vals), placed
+    return n, hi, (rows, cols, vals)
 
 
 def _surely_within(rough: float, total: float) -> bool:
@@ -471,71 +464,64 @@ class JointSelectionMatrix:
     The matrix is stored as ``rows``, ``cols`` and ``vals``: its nonzero
     off-diagonal cells in row-major order, as read-only arrays. Give it
     either those cells, as a ``Cells(n, rows, cols, vals)`` value, or the
-    dense entries, which enter as the cells of every entry that is not
-    +0.0 (NaN and -0.0 among them) and are not kept. One validator
-    (`_cell_store`) checks both, in one order: non-finite values, the
-    clamp, the diagonal, the total. After the clamp every diagonal entry
-    must be exactly 0; cells of value 0, on the diagonal or off it, are
-    then dropped.
+    dense entries, which enter as the cells of every nonzero entry (NaN
+    among them) and are not kept. One validator (`_cell_store`) checks
+    both, in one order: the values by the weights' check (non-finite
+    values, then the clamp, where -0.0 and what is clamped become +0.0),
+    the diagonal, the total. After the clamp every diagonal entry must be
+    exactly 0; cells of value 0, on the diagonal or off it, are then
+    dropped.
 
     ``entries`` is the dense read-only array. No N x N array is formed
-    until it is first read; it is then scattered from the cells as
-    validated, zero cells included (a -0.0 cell stays -0.0, a clamped one
-    is +0.0), and kept.
+    until it is first read; it is then scattered from the cells and kept.
 
-    ``min_entry`` is the minimum entry. ``entry_sum`` is
-    ``float(entries.sum())``, the total in numpy's dense order, computed
-    on first read by a replica of numpy's pairwise summation that needs no
-    dense array. The total check passes on the cells' own sum when every
-    sum within a proven error band of it (_SUM_BAND) would pass; otherwise
-    it computes ``entry_sum`` and decides, and words its message, on that.
-    ``marginals`` (row sums, column sums) is computed from the cells on
-    first read and kept. ``==`` and ``hash`` go by identity.
+    ``entry_sum`` is ``float(entries.sum())``, the total in numpy's dense
+    order, computed on first read by a replica of numpy's pairwise
+    summation that needs no dense array. The total check passes on the
+    cells' own sum when every sum within a proven error band of it
+    (_SUM_BAND) would pass; otherwise it computes ``entry_sum`` and
+    decides, and words its message, on that. ``marginals`` (row sums,
+    column sums) is computed from the cells on first read and kept. ``==``
+    and ``hash`` go by identity.
     """
 
     n: int
     total: float
-    min_entry: float = field(repr=False)
     rows: NDArray[np.intp] = field(repr=False)
     cols: NDArray[np.intp] = field(repr=False)
     vals: Vec = field(repr=False)
-    # The flat positions and values of the validated cells, zeros included.
-    _placed: tuple[NDArray[np.intp], Vec] = field(repr=False)
 
     def __init__(self, entries: Mat | Cells, total: float = 1.0) -> None:
         if not isinstance(entries, Cells):
             entries = _dense_cells(entries)
-        n, lo, hi, cells, placed = _cell_store(entries)
+        n, hi, (rows, cols, vals) = _cell_store(entries)
         total = _finite_total(total)
-        if not _surely_within(float(_sum(placed[1], hi)), total):  # the cells in their own order
+        if not _surely_within(float(_sum(vals, hi)), total):  # the cells in their own order
             with np.errstate(over="ignore"):  # it overflows where the cells' sum did
-                entry_sum = _dense_order_sum(n * n, *placed)
+                entry_sum = _dense_order_sum(n * n, rows * n + cols, vals)
             if abs(entry_sum - total) > _tol(total):
                 raise TotalMismatchError(
                     f"entries sum to {entry_sum:.17g}, declared total is {total:.17g}"
                 )
             object.__setattr__(self, "entry_sum", entry_sum)
-        for name, x in zip(("rows", "cols", "vals"), cells):
+        for name, x in zip(("rows", "cols", "vals"), (rows, cols, vals)):
             x.setflags(write=False)
             object.__setattr__(self, name, x)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "min_entry", lo)
-        object.__setattr__(self, "_placed", placed)
 
     @cached_property
     def entries(self) -> Mat:
         """The dense N x N entries, read-only; from cells, scattered on first read."""
-        key, vals = self._placed
         e = np.zeros((self.n, self.n))
-        e.ravel()[key] = vals
+        e[self.rows, self.cols] = self.vals
         e.setflags(write=False)
         return e
 
     @cached_property
     def entry_sum(self) -> float:
         """``float(entries.sum())``, computed from the cells without the entries."""
-        return _dense_order_sum(self.n * self.n, *self._placed)
+        return _dense_order_sum(self.n * self.n, self.rows * self.n + self.cols, self.vals)
 
     @cached_property
     def marginals(self) -> tuple[Vec, Vec]:
@@ -550,19 +536,18 @@ class JointSelectionMatrix:
         at most ROW_SLAB entries (zeros do not change a sum of positive
         cells), and otherwise by `_pairwise_sums`, numpy's pairwise
         summation replayed from their cells. A matrix of at most
-        DENSE_MARGINALS entries scatters all its cells, as ``entries`` holds
-        them, into one local dense copy and sums its rows in one call, which
-        costs less than finding those rows; ``entries`` stays unformed.
+        DENSE_MARGINALS entries scatters its cells into one local dense copy
+        and sums its rows in one call, which costs less than finding those
+        rows; ``entries`` stays unformed.
         tests/test_cells.py and tests/test_dense_order_sum.py hold numpy to
         this, so a numpy upgrade that changes its summation order fails
         there.
         """
         n = self.n
         if n * n <= DENSE_MARGINALS:
-            key, vals = self._placed
-            dense = np.zeros(n * n)
-            dense[key] = vals
-            pi_a = dense.reshape(n, n).sum(axis=1)
+            dense = np.zeros((n, n))
+            dense[self.rows, self.cols] = self.vals
+            pi_a = dense.sum(axis=1)
         else:
             pi_a = np.bincount(self.rows, self.vals, n)
             heavy = np.bincount(self.rows, minlength=n) >= 3

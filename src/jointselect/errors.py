@@ -20,7 +20,7 @@ class LengthMismatchError(ValidationError):
 
 
 class NegativeWeightError(ValidationError):
-    """A preference weight is negative beyond the -1e-12 clamp tolerance."""
+    """A weight or matrix entry is negative beyond the -1e-12 clamp tolerance."""
 
 
 class TotalMismatchError(ValidationError):

@@ -113,8 +113,9 @@ class KktCertificate:
     @cached_property
     def residuals(self) -> KktResiduals:
         m = self.matrix
-        # The diagonal is exactly 0 by validation, so it adds no primal term.
-        primal = max(max(0.0, -m.min_entry), abs(m.entry_sum - 1.0))
+        # Validation leaves no negative entry and a diagonal of exactly 0, so
+        # only the total adds a primal term.
+        primal = abs(m.entry_sum - 1.0)
         return KktResiduals(*self._measured, primal)
 
     @property
@@ -220,8 +221,8 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     row and column. Each term is computed with the same float operations
     as the dense form, so the residuals equal it bit for bit.
     The marginals are the matrix's own, taken once. The primal residual
-    reads the matrix's minimum and dense-order total, and is computed on
-    the first read of ``residuals``. The dense entries are not read.
+    reads the matrix's dense-order total, and is computed on the first
+    read of ``residuals``. The dense entries are not read.
     """
     _require_unit_total(inst.total, "KKT certificate")
     n = inst.n

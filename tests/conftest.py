@@ -36,7 +36,15 @@ def table1():
 
 
 def random_feasible_instance(rng: np.random.Generator, n: int):
-    """Uniform-simplex pair conditioned on max popularity <= 1."""
+    """Uniform-simplex pair conditioned on max popularity <= 1.
+
+    Two arms are feasible only when both popularities are 1, which a draw
+    never hits, so for n = 2 this is the one feasible family
+    a = (p, 1 - p), b = (1 - p, p), with p uniform.
+    """
+    if n == 2:
+        p = rng.random()
+        return validate_instance([p, 1.0 - p], [1.0 - p, p])
     while True:
         a = rng.dirichlet(np.ones(n))
         b = rng.dirichlet(np.ones(n))

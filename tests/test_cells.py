@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import jointselect.core as core
 from jointselect import (
     JointSelectionMatrix,
+    NegativeWeightError,
     TotalMismatchError,
     ValidationError,
     construct_zero_loss,
@@ -48,8 +49,8 @@ def cells_of(entries) -> Cells:
         ([[0.0, np.nan], [-1.0, 0.0]], ValidationError),
         ([[0.0, 1e308], [1e308, 0.0]], TotalMismatchError),
         ([[1.0, 1e308], [1e308, 0.0]], ValidationError),
-        ([[0.0, 1e308], [1e308, -1e-6]], ValidationError),
-        ([[1.0, -1e-6], [1.0, 0.0]], ValidationError),
+        ([[0.0, 1e308], [1e308, -1e-6]], NegativeWeightError),
+        ([[1.0, -1e-6], [1.0, 0.0]], NegativeWeightError),
         ([[1.0, -1e-13], [1.0, 0.0]], ValidationError),
         ([[0.0, -1e-13], [0.9, 0.0]], TotalMismatchError),
         ([[1e-15, 0.5 - 1e-15], [0.5, 0.0]], ValidationError),
@@ -67,7 +68,7 @@ def test_cells_validate_as_the_dense_entries_do(entries, error):
         except ValidationError as exc:
             outcomes.append((type(exc), str(exc)))
         else:
-            outcomes.append((m.entries.tobytes(), m.min_entry, m.entry_sum))
+            outcomes.append((m.entries.tobytes(), m.entry_sum))
     assert outcomes[0] == outcomes[1]
     if error is not None:
         assert outcomes[0][0] is error
@@ -116,7 +117,6 @@ def test_cell_built_matrix_equals_the_dense_built_one():
         from_cells = JointSelectionMatrix(Cells(n, rows, cols, e[rows, cols]))
         from_dense = JointSelectionMatrix(e)
         assert from_cells.entries.tobytes() == from_dense.entries.tobytes()
-        assert from_cells.min_entry == from_dense.min_entry
         assert from_cells.entry_sum == from_dense.entry_sum
         for name in ("rows", "cols", "vals"):
             x, y = getattr(from_cells, name), getattr(from_dense, name)
@@ -249,7 +249,7 @@ def test_cell_built_and_dense_built_sample_alike(draws, n, seed, shape):
 # --------------------------------------------------------------------------
 
 def test_entries_are_scattered_once_on_first_read():
-    # Cells as given, zeros included: -0.0 stays -0.0, a clamped cell is +0.0.
+    # Cells as given, zeros included: -0.0 and a clamped cell read +0.0.
     cells = Cells(3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1], [0.5, -0.0, 0.25, -1e-13, 0.25, 0.0])
     m = JointSelectionMatrix(cells)
     assert "entries" not in vars(m)
@@ -257,7 +257,7 @@ def test_entries_are_scattered_once_on_first_read():
     assert m.entries is first
     assert not first.flags.writeable
     want = np.zeros((3, 3))
-    want[cells.rows, cells.cols] = [0.5, -0.0, 0.25, 0.0, 0.25, 0.0]
+    want[cells.rows, cells.cols] = [0.5, 0.0, 0.25, 0.0, 0.25, 0.0]
     assert first.tobytes() == want.tobytes()
     assert first.tobytes() == JointSelectionMatrix(np.array(want)).entries.tobytes()
     assert m.entry_sum == float(first.sum())
@@ -312,6 +312,6 @@ def test_totals_between_the_cell_sum_and_the_dense_sum_decide_as_the_dense_form(
                 except ValidationError as exc:
                     outcomes.append((type(exc), str(exc)))
                 else:
-                    outcomes.append((m.entries.tobytes(), m.min_entry, m.entry_sum, m.total))
+                    outcomes.append((m.entries.tobytes(), m.entry_sum, m.total))
             assert outcomes[0] == outcomes[1]
             straddled[outcomes[0][0] is TotalMismatchError] += 1

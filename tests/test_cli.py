@@ -530,6 +530,39 @@ def test_sample_nested_entries_exit_two(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", ["sample", "verify"])
+def test_a_matrix_entry_beyond_the_clamp_is_a_negative_weight(capsys, tmp_path, command):
+    # Matrix entries pass the weights' value check, with its error kind.
+    pref = tmp_path / "geo.json"
+    pref.write_text(json.dumps({"a": GEO_A, "b": GEO_A}))
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"n": 3, "entries": [0, 0.5, 0, 0.5 + 1e-6, 0, -1e-6, 0, 0, 0]}))
+    argv = {
+        "sample": ["sample", str(path), "--seed", "1", "--draws", "10"],
+        "verify": ["verify", str(pref), "--kkt", "--matrix", str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "negative-weight",
+        "message": "matrix has negative entries beyond the -1e-12 clamp: min = -1.000e-06",
+    }
+
+
+def test_a_negative_zero_entry_samples_as_a_zero(capsys, tmp_path):
+    outs = []
+    for zero in ("0.0", "-0.0"):
+        path = tmp_path / "m.json"
+        path.write_text(
+            f'{{"n": 3, "entries": [{zero}, 0.5, {zero}, 0.25, {zero}, 0.0, 0.25, {zero}, 0.0]}}'
+        )
+        code, out, err = run(capsys, "sample", str(path), "--seed", "4", "--draws", "1000")
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "argv, seed",
     [(["sample", "{matrix}", "--seed", "-5", "--draws", "3"], -5),

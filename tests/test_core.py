@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from jointselect import (
     DimensionMismatchError,
     JointSelectionMatrix,
+    JointTensorSparse,
     LengthMismatchError,
     NegativeWeightError,
     TotalMismatchError,
@@ -268,8 +269,8 @@ def test_matrix_keeps_a_private_copy_of_its_entries():
     m = JointSelectionMatrix(entries)
     entries[0, 1] = 0.5
     assert m.entries[0, 1] == 0.25
-    # Only entries below zero are clamped; -0.0 is kept as given.
-    assert np.signbit(m.entries[1, 2])
+    # -0.0 reads back as +0.0, as a weight of -0.0 does.
+    assert not np.signbit(m.entries[1, 2])
 
 
 def test_matrix_errors_in_check_order():
@@ -277,7 +278,9 @@ def test_matrix_errors_in_check_order():
     # and the diagonal before the sum.
     with pytest.raises(ValidationError, match="non-finite"):
         JointSelectionMatrix(np.array([[0.0, np.nan], [-1.0, 0.0]]))
-    with pytest.raises(ValidationError, match=r"below the -1e-12 clamp: min = -1\.000e-06"):
+    with pytest.raises(
+        NegativeWeightError, match=r"negative entries beyond the -1e-12 clamp: min = -1\.000e-06"
+    ):
         JointSelectionMatrix(np.array([[1.0, -1e-6], [1.0, 0.0]]))
     with pytest.raises(ValidationError, match="diagonal"):
         JointSelectionMatrix(np.array([[1.0, -1e-13], [1.0, 0.0]]))
@@ -331,8 +334,8 @@ def test_matrix_clamp_leaves_an_adopted_input_untouched():
     assert e[0, 2] == -1e-13
     assert not np.shares_memory(m.entries, e)
     assert m.entries[0, 2] == 0.0 and not np.signbit(m.entries[0, 2])
-    assert np.signbit(m.entries[2, 1])
-    assert m.min_entry == 0.0
+    assert m.entries[2, 1] == 0.0 and not np.signbit(m.entries[2, 1])
+    assert (m.vals > 0.0).all()
     assert m.entry_sum == float(m.entries.sum())
 
 
@@ -349,7 +352,7 @@ def test_matrix_clamp_leaves_an_adopted_input_untouched():
         ([[np.nan, 0.0], [1.0, 0.0]], ValidationError, "non-finite"),
         ([[0.0, 1e308], [1e308, 0.0]], TotalMismatchError, "entries sum to inf"),
         ([[1.0, 1e308], [1e308, 0.0]], ValidationError, "diagonal"),
-        ([[0.0, 1e308], [1e308, -1e-6]], ValidationError, "below the -1e-12 clamp"),
+        ([[0.0, 1e308], [1e308, -1e-6]], NegativeWeightError, "negative entries"),
     ],
 )
 def test_matrix_validation_edges(entries, error, match, read_only):
@@ -393,9 +396,55 @@ def test_matrix_minimum_and_total_are_those_of_the_stored_entries():
         for given in (e, owned_read_only(e)):
             m = JointSelectionMatrix(given)
             assert m.entry_sum == float(m.entries.sum())
-            assert max(0.0, -m.min_entry) == max(0.0, -float(m.entries.min()))
-            if float(e.min()) >= 0.0:
-                assert m.min_entry == float(m.entries.min())
+            assert float(m.entries.min()) == 0.0 and not np.signbit(m.entries).any()
+
+
+def _values_stored_by(make, vals):
+    """Build with ``make`` from ``vals``, four values of one array, and return
+    the arrays it stores with the place of the last value in each."""
+    if make == "instance":
+        inst = validate_instance(vals, [0.25] * 4)
+        return [(inst.a, 3), (inst.given[0], 3)]
+    if make == "multi":
+        return [(validate_multi([vals, [0.25] * 4]).weights[0], 3)]
+    if make == "tensor":
+        return [(JointTensorSparse(([(0, 1), (1, 0), (2, 3), (3, 2)], vals), 4, 2).vals, 3)]
+    rows, cols = [0, 1, 2, 3], [1, 0, 3, 2]
+    if make == "matrix-dense":
+        e = np.zeros((4, 4))
+        e[rows, cols] = vals
+        m = JointSelectionMatrix(e)
+    else:
+        m = JointSelectionMatrix(core.Cells(4, rows, cols, vals))
+    assert m.rows.tolist() == [0, 1] and m.cols.tolist() == [1, 0]  # zero cells are dropped
+    return [(m.entries.ravel(), 14)]
+
+
+@pytest.mark.parametrize("companion", [0.0, -1e-6], ids=["alone", "after-a-negative"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, -1e-6, -1e-13, -0.0],
+    ids=["nan", "inf", "-inf", "-1e-6", "-1e-13", "-0.0"],
+)
+@pytest.mark.parametrize(
+    "make", ["instance", "multi", "tensor", "matrix-dense", "matrix-cells"]
+)
+def test_one_value_rule_for_every_array(make, bad, companion):
+    # Weights, tensor values and matrix entries pass one value check: a
+    # non-finite value first, then a negative one beyond the clamp, each
+    # with its own error type and message; what the clamp leaves, -0.0
+    # among it, is stored as +0.0.
+    vals = [0.5, 0.5, companion, bad]
+    if not np.isfinite(bad):
+        with pytest.raises(ValidationError, match="contains non-finite values$") as exc:
+            _values_stored_by(make, vals)
+        assert type(exc.value) is ValidationError
+    elif min(bad, companion) < -1e-12:
+        clamp = r"has negative entries beyond the -1e-12 clamp: min = -1\.000e-06$"
+        with pytest.raises(NegativeWeightError, match=clamp):
+            _values_stored_by(make, vals)
+    else:
+        for stored, at in _values_stored_by(make, vals):
+            assert stored[at] == 0.0 and not np.signbit(stored).any()
 
 
 def test_array_holding_types_compare_by_identity():

@@ -47,6 +47,16 @@ def test_two_arms_exact_construction():
     assert loss(m, inst) == 0.0
 
 
+def test_random_feasible_two_arm_instances_build_with_zero_loss():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        inst = random_feasible_instance(rng, 2)
+        assert float(inst.popularity.max()) <= 1.0
+        m = construct_zero_loss(inst)
+        assert m.vals.tolist() == inst.a.tolist()
+        assert loss(m, inst) == 0.0
+
+
 def test_two_arms_infeasible_unless_popularities_match_total():
     with pytest.raises(InfeasibleTwoArmError):
         construct_zero_loss(validate_instance([0.7, 0.3], [0.7, 0.3]))
