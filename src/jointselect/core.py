@@ -292,6 +292,22 @@ def _rescale(w_sum: float, total: float) -> float | None:
     return None
 
 
+def _weight_rows(w: Mat, total: float, what: str) -> tuple[Mat, Mat, Vec]:
+    """The one rule for preference rows, those of the M x N array ``w`` (the
+    caller's own, its shape checked): the value checks (`_clean_weights`),
+    then each row's sum against ``total`` (`_rescale`, which scales a row),
+    then the popularity as column sums. Returns the rows, the rows before
+    scaling (the same array when none was scaled) and the popularity.
+    """
+    given, hi = _clean_weights(w, what)
+    scales = [_rescale(x, total) or 1.0 for x in _sum(given, hi, axis=1).tolist()]
+    w = given if set(scales) == {1.0} else given * np.array(scales)[:, None]
+    w.setflags(write=False)
+    s = _sum(w, hi, axis=0)  # a scale within 1 + 1e-9 stays inside _sum's margin
+    s.setflags(write=False)
+    return w, given, s
+
+
 def _require_unit_total(total: float, what: str) -> None:
     if not abs(total - 1.0) <= SUM_RTOL:  # NaN fails too
         raise TotalNotOneError(f"{what} needs total = 1, got {total:.17g}")
@@ -305,15 +321,16 @@ def _require_unit_total(total: float, what: str) -> None:
 class ProblemInstance:
     """Two players' desired selection probabilities over the same N >= 2 arms.
 
-    Weights are nonnegative (tiny negatives within -1e-12 are clamped to 0)
-    and each vector sums to ``total`` within 1e-9 relative tolerance. A
-    vector whose sum misses ``total`` by more than 1e-12 (relative) is
-    scaled to it, so both vectors sum to ``total`` up to rounding.
-    ``total``, finite and nonnegative, is 1 for user-facing instances;
-    reduced sub-instances carry smaller totals. ``popularity`` is
-    S = A + B, computed here. ``given`` is (a, b) as given, after the clamp
-    and before any scaling: the same arrays as ``a`` and ``b`` when
-    neither was scaled.
+    Both vectors pass, as the rows of one 2 x N array, the rule that M
+    players' rows pass too (`_weight_rows`). Weights are nonnegative (tiny
+    negatives within -1e-12 are clamped to 0) and each vector sums to
+    ``total`` within 1e-9 relative tolerance. A vector whose sum misses
+    ``total`` by more than 1e-12 (relative) is scaled to it, so both
+    vectors sum to ``total`` up to rounding. ``total``, finite and
+    nonnegative, is 1 for user-facing instances; reduced sub-instances
+    carry smaller totals. ``popularity`` is S = A + B. ``given`` is (a, b)
+    after the clamp and before any scaling: the same arrays as ``a`` and
+    ``b`` when neither was scaled.
     ``==`` and ``hash`` go by identity, as the fields are arrays.
     """
 
@@ -324,38 +341,24 @@ class ProblemInstance:
     given: tuple[Vec, Vec] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = _floats(self.a, "preference weights")
-        b = _floats(self.b, "preference weights")
-        if a.shape != b.shape:
-            raise LengthMismatchError(f"preference lengths differ: {a.shape} vs {b.shape}")
-        if a.ndim != 1:
-            raise ValidationError(
-                f"preference weights must be a 1-D vector, got shape {a.shape}"
-            )
-        if a.size < 2:
-            raise ValidationError(f"preference weights needs at least 2 arms, got {a.size}")
+        try:
+            w = np.array((self.a, self.b), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            w = None
+        if w is None or w.ndim != 2:  # each vector on its own words the error
+            a, b = _floats(self.a, "preference weights"), _floats(self.b, "preference weights")
+            if a.shape != b.shape:
+                raise LengthMismatchError(f"preference lengths differ: {a.shape} vs {b.shape}")
+            raise ValidationError(f"preference weights must be a 1-D vector, got shape {a.shape}")
+        if w.shape[1] < 2:
+            raise ValidationError(f"preference weights needs at least 2 arms, got {w.shape[1]}")
         total = _finite_total(self.total)
         if total < -ENTRY_CLAMP:
             raise ValidationError(f"total must be nonnegative, got {total}")
-        given, top = [], 0.0  # top: the sum of the two largest weights
-        for name, w in (("a", a), ("b", b)):
-            w, hi = _clean_weights(w, "preference weights")
-            given.append(w)
-            top += hi
-            scale = _rescale(float(_sum(w, hi)), total)
-            if scale is not None:
-                w = w * scale
-                w.setflags(write=False)
-            object.__setattr__(self, name, w)
-        if top < _NO_OVERFLOW:
-            s = self.a + self.b
-        else:  # a popularity past the float range is inf, without numpy's warning
-            with np.errstate(over="ignore"):
-                s = self.a + self.b
-        s.setflags(write=False)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "popularity", s)
-        object.__setattr__(self, "given", tuple(given))
+        rows, given, s = _weight_rows(w, total, "preference weights")
+        a, b = rows
+        given = (a, b) if given is rows else tuple(given)
+        vars(self).update(a=a, b=b, total=total, popularity=s, given=given)
 
     @property
     def n(self) -> int:
@@ -363,12 +366,10 @@ class ProblemInstance:
 
 
 def validate_instance(a, b, total: float = 1.0) -> ProblemInstance:
-    """Build a validated instance from raw weight vectors.
+    """Build a validated instance (a ProblemInstance) from raw weight vectors.
 
     Raises LengthMismatchError / NegativeWeightError / TotalMismatchError
-    on bad input. Popularity S = A + B is computed here; its entries sum
-    to 2 * total by construction.
-    """
+    on bad input."""
     return ProblemInstance(a, b, total)
 
 

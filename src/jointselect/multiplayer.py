@@ -6,13 +6,15 @@ arrays (`JointTensorSparse`). Player x's satisfied preference pi_x(i) sums
 the values whose x-th arm is i, one bincount per player; the loss is the
 squared mismatch summed over players.
 
-Popularity is S_i = sum over players of their weight on arm i. If some
-S_i > 1, zero loss is impossible for every M (each unit of probability
-feeds arm i through at most one player). The converse is proven only for
-M = 2, so for M >= 3 the verdict says "conjectured". `solve_multi_min_loss`
-runs the package's projected-gradient loop (`oracle.descend`) over the
-tuple simplex, up to `oracle.MAX_TUPLES` tuples; at M = 2 it is the
-two-player oracle. The loss and marginals work at any size.
+Each player's row is checked, and scaled, as a two-player instance's
+weights are. Popularity is S_i = sum over players of their weight on
+arm i. If some S_i > 1, zero loss is impossible for every M (each unit
+of probability feeds arm i through at most one player). The converse is
+proven only for M = 2, so for M >= 3 the verdict says "conjectured".
+`solve_multi_min_loss` runs the package's projected-gradient loop
+(`oracle.descend`) over the tuple simplex, up to `oracle.MAX_TUPLES`
+tuples; at M = 2 it is the two-player oracle. The loss and marginals
+work at any size.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _positions, _sum
+from .core import (SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _positions,
+                   _sum, _weight_rows)
 from .errors import (
     DimensionMismatchError,
     NonDistinctKeyError,
@@ -45,8 +48,8 @@ class Feasibility(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class MultiPreferences:
-    """M x N preference weights, one unit-sum row per player.
-
+    """M x N preference weights, one unit-sum row per player, checked (a row
+    1e-12 to 1e-9 off scaled to 1) by the rule `ProblemInstance` applies.
     ``==`` and ``hash`` go by identity, as the fields are arrays.
     """
 
@@ -62,16 +65,8 @@ class MultiPreferences:
             raise ValidationError(f"need at least 2 players, got {m}")
         if n < 2:
             raise ValidationError(f"need at least 2 arms, got {n}")
-        w, hi = _clean_weights(w, "multi-player weights")
-        sums = _sum(w, hi, axis=1)
-        bad = np.abs(sums - 1.0) > SUM_RTOL
-        if np.any(bad):
-            x = int(np.argmax(bad))
-            raise TotalMismatchError(f"player {x} weights sum to {sums[x]:.17g}, need 1")
-        pop = w.sum(axis=0)
-        pop.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "popularity", pop)
+        w, _, pop = _weight_rows(w, 1.0, "multi-player weights")
+        vars(self).update(weights=w, popularity=pop)
 
     @property
     def n_players(self) -> int:

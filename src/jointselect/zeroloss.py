@@ -263,8 +263,6 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
             )
         return JointSelectionMatrix(Cells(2, [0, 1], [1, 0], inst.a), t)
     _require_feasible(float(inst.popularity.max()), t)
-    if n == 3:
-        return base_case_three(inst)
 
     a, b, s = inst.a.tolist(), inst.b.tolist(), inst.popularity.tolist()
     alive = [True] * n

@@ -738,6 +738,24 @@ def test_feasibility_three_player_verdicts(capsys, tmp_path):
     assert json.loads(run(capsys, "feasibility", hot)[1])["verdict"] == "infeasible"
 
 
+def test_feasibility_reads_the_popularity_construct_prints(capsys, tmp_path):
+    # A sums to 1 + 6e-10 and is scaled to 1, which takes S_0 from
+    # 1 + 1.3e-9 down to 1 + 9.4e-10: zero loss is within reach.
+    a, b = [0.6000000006, 0.25, 0.15], [0.4000000007, 0.3, 0.2999999993]
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps({"a": a, "b": b}))
+    code, out, _ = run(capsys, "construct", str(path), "--require-zero-loss")
+    assert code == 0
+    built = json.loads(out)
+    assert built["branch"] == "zero-loss"
+    code, out, _ = run(capsys, "feasibility", feas_file(tmp_path, [a, b]))
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "feasible"
+    assert verdict["popularity"] == built["popularity"] == [1.00000000094, 0.54999999985,
+                                                            0.44999999921]
+
+
 def test_feasibility_player_count_crosscheck(capsys, tmp_path):
     path = feas_file(tmp_path, [TABLE1_A, TABLE1_B])
     code, _, err = run(capsys, "feasibility", path, "--players", "3")

@@ -4,7 +4,9 @@ its dense-order total and row sums without the dense array
 
 It is checked against a plain-Python transcription of numpy's
 ``pairwise_sum`` kept here, and against numpy's own ``sum`` of the dense
-array. A numpy that changes its summation order fails here first.
+array. It also pins the row and column sums of weight rows that
+core._weight_rows takes from numpy. A numpy that changes its summation
+order fails here first.
 """
 
 from __future__ import annotations
@@ -251,3 +253,23 @@ def test_the_row_sums_of_a_zero_loss_answer_need_little_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("length", [2, 3, 7, 8, 9, 127, 128, 129, 1023, 1024, 1025, 4099, 10**5 + 3])
+def test_weight_rows_sum_as_one_row_does(length):
+    # core._weight_rows sums the rows of a C-contiguous M x N array with
+    # sum(axis=1), and takes a popularity by sum(axis=0): the same bits as
+    # each row's own sum and, for two players, as A + B.
+    rng = np.random.default_rng(length)
+    for m in (2, 3, 5):
+        w = rng.dirichlet(np.full(length, 0.3), size=m)
+        w[:, rng.integers(length, size=length // 3)] = 0.0
+        w /= w.sum(axis=1, keepdims=True)
+        w[0] *= 1 + 3e-10  # a row that _weight_rows scales
+        assert w.flags.c_contiguous
+        assert w.sum(axis=1).tobytes() == np.array([row.sum() for row in w]).tobytes()
+        rows, given, pop = core._weight_rows(w.copy(), 1.0, "weights")
+        assert given.tobytes() == w.tobytes() and rows is not given
+        if m == 2:
+            assert w.sum(axis=0).tobytes() == (w[0] + w[1]).tobytes()
+            assert pop.tobytes() == (rows[0] + rows[1]).tobytes()

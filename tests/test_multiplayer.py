@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointselect import (
     DimensionMismatchError,
@@ -26,9 +28,10 @@ from jointselect import (
     solve_multi_min_loss,
     tensor_from_matrix,
     tensor_marginals,
+    validate_instance,
     validate_multi,
 )
-from jointselect import oracle
+from jointselect import minloss, oracle
 from jointselect.errors import DimensionTooLargeError
 
 from conftest import TABLE1_A, TABLE1_B, random_feasible_instance, random_hot_instance
@@ -198,6 +201,72 @@ def test_verdict_three_players_never_claims_proof():
 def test_verdict_needs_enough_arms():
     with pytest.raises(TooFewArmsError):
         feasibility_verdict(validate_multi(np.full((3, 2), 0.5)))
+
+
+# A sums to 1 + 6e-10, within the tolerance and past the 1e-12 beyond which
+# a row is scaled: S_0 is 1 + 1.3e-9 before the scaling and 1 + 9.4e-10
+# after it, either side of the verdict's 1 + 1e-9.
+SCALED_A = [0.6000000006, 0.25, 0.15]
+SCALED_B = [0.4000000007, 0.3, 0.2999999993]
+
+
+def test_the_verdict_reads_the_popularity_of_the_two_player_instance():
+    inst = validate_instance(SCALED_A, SCALED_B)
+    prefs = validate_multi([SCALED_A, SCALED_B])
+    assert prefs.popularity.tobytes() == inst.popularity.tobytes()
+    assert prefs.weights.tobytes() == np.array([inst.a, inst.b]).tobytes()
+    assert feasibility_verdict(prefs) is Feasibility.FEASIBLE
+    assert optimal_satisfaction_matrix(inst).branch == "zero-loss"
+
+
+class Taken(Exception):
+    """Raised, with its name, by a stubbed branch of the dispatch."""
+
+
+def dispatch_branch(inst) -> str:
+    """The branch `optimal_satisfaction_matrix` takes on ``inst``, read as it
+    is taken, before the branch builds a matrix."""
+
+    def take(branch):
+        def stub(*args):
+            raise Taken(branch)
+
+        return stub
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minloss, "construct_zero_loss", take("zero-loss"))
+        mp.setattr(minloss, "min_loss_matrix", take("min-loss"))
+        with pytest.raises(Taken) as taken:
+            optimal_satisfaction_matrix(inst)
+    return taken.value.args[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(0.05, 0.95),
+    ups=st.tuples(*[st.floats(0.0, 1e-9)] * 2),
+    misses=st.tuples(*[st.floats(1e-12, 9e-10)] * 2),
+    signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 2),
+)
+def test_rows_off_by_less_than_the_tolerance_get_the_dispatch_verdict(
+    n, seed, share, ups, misses, signs
+):
+    # Arm 0 starts at popularity 1. Each row lifts it by up to 1e-9 and
+    # misses its sum by 1e-12 to 9e-10, so S_0 lands on either side of
+    # 1 + 1e-9, and a row's scaling can move it across.
+    rng = np.random.default_rng(seed)
+    a = np.concatenate(([share], (1.0 - share) * rng.dirichlet(np.ones(n - 1))))
+    b = np.concatenate(([1.0 - share], share * rng.dirichlet(np.ones(n - 1))))
+    for w, up, miss, sign in zip((a, b), ups, misses, signs):
+        w[0] += up
+        w[1] -= up - sign * miss
+    inst = validate_instance(a, b)
+    prefs = validate_multi([a, b])
+    assert prefs.popularity.tobytes() == inst.popularity.tobytes()
+    feasible = feasibility_verdict(prefs) is Feasibility.FEASIBLE
+    assert feasible == (dispatch_branch(inst) == "zero-loss")
 
 
 def test_verdict_values_are_strings():

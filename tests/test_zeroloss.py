@@ -473,7 +473,14 @@ def outcome(build):
         return type(exc), str(exc)
 
 
+def stored_cells(m):
+    """A matrix's stored cells, their positions and the bits of their values."""
+    return np.concatenate((m.rows, m.cols, m.vals.view(np.int64)))
+
+
 def test_peel_base_block_equals_the_base_case_of_an_instance():
+    # At N = 3 the peel runs no fill and builds the base block alone, so
+    # construct_zero_loss stores the cells base_case_three stores.
     seen = set()
     for a, b, t in three_arm_inputs():
         def peel():
@@ -486,6 +493,9 @@ def test_peel_base_block_equals_the_base_case_of_an_instance():
 
         got = outcome(peel)
         assert got == outcome(instance)
+        assert outcome(lambda: stored_cells(construct_zero_loss(validate_instance(a, b, t)))) == (
+            outcome(lambda: stored_cells(base_case_three(validate_instance(a, b, t))))
+        )
         if isinstance(got, tuple):
             seen.add(got[0])
         else:
