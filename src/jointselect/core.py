@@ -109,6 +109,14 @@ def _tol(total: float) -> float:
     return SUM_RTOL * max(1.0, abs(total))
 
 
+def _zero_loss_reachable(s: float, total: float) -> bool:
+    """The one zero-loss decision: whether popularity ``s`` leaves zero loss
+    within reach of ``total``, S <= T up to the sums' tolerance. Inside the
+    band T < S <= T + _tol(T) zero loss is reached up to (S - T)/2 on the
+    marginals. NaN is out of reach."""
+    return s <= total + _tol(total)
+
+
 def _run_starts(key: NDArray[np.intp]) -> NDArray[np.bool_]:
     """Where each run of equal keys in ``key`` (not empty) begins."""
     first = np.empty(key.size, dtype=bool)

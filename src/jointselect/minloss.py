@@ -28,7 +28,12 @@ the dense entries are likewise built only when read.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
-certificate otherwise.
+certificate otherwise. That bound is one decision,
+`core._zero_loss_reachable`, which `min_loss_value`, `min_loss_matrix`
+and `kkt_verify` read too, so each of them either applies or leaves the
+input to the zero-loss branch. The hot-arm cells are built by
+`zeroloss._hot_arm_cells`, which also answers inside the band
+1 < max S <= 1 + 1e-9.
 """
 
 from __future__ import annotations
@@ -40,14 +45,14 @@ from math import isnan, nan
 import numpy as np
 
 from .core import (
-    SUM_RTOL,
-    Cells,
     JointSelectionMatrix,
     Mat,
     ProblemInstance,
     Vec,
     _gradient_terms,
     _require_unit_total,
+    _tol,
+    _zero_loss_reachable,
     loss,
 )
 from .errors import (
@@ -55,7 +60,7 @@ from .errors import (
     NotApplicableError,
     ValidationError,
 )
-from .zeroloss import construct_zero_loss
+from .zeroloss import _hot_arm_cells, construct_zero_loss
 
 RESIDUAL_TOL = 1e-9
 
@@ -154,11 +159,22 @@ class OptimalResult:
     branch: str  # "zero-loss" | "min-loss"
 
 
+def _hot(inst: ProblemInstance, what: str) -> tuple[int, float]:
+    """The unit-total check, then the most popular arm and its popularity."""
+    _require_unit_total(inst.total, what)
+    hot = int(np.argmax(inst.popularity))
+    return hot, float(inst.popularity[hot])
+
+
+def _reach(total: float) -> str:
+    """The bound of `_zero_loss_reachable` at ``total``, as messages state it."""
+    return f"{total:.17g} + {_tol(total):g}"
+
+
 def min_loss_value(inst: ProblemInstance) -> float:
-    """Closed-form minimum loss: 0 if max S <= 1, else N/(2(N-1)) (S_max-1)^2."""
-    _require_unit_total(inst.total, "minimum loss")
-    s_max = float(inst.popularity.max())
-    if s_max <= 1.0 + SUM_RTOL:
+    """Closed-form minimum loss: 0 if max S <= 1 (+1e-9), else N/(2(N-1)) (S_max-1)^2."""
+    _, s_max = _hot(inst, "minimum loss")
+    if _zero_loss_reachable(s_max, inst.total):
         return 0.0
     n = inst.n
     return n / (2.0 * (n - 1)) * (s_max - 1.0) ** 2
@@ -168,30 +184,18 @@ def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
     """Hot-arm matrix: column ``hot`` holds A_i + eps, row ``hot`` holds B_j + eps.
 
     Requires S_hot > 1 (+1e-9), which with unit total also makes ``hot``
-    the unique most popular arm.
+    the unique most popular arm. The cells are `zeroloss._hot_arm_cells`.
     """
     _require_unit_total(inst.total, "hot-arm matrix")
-    n = inst.n
-    s = inst.popularity
-    if not 0 <= hot < n:
-        raise ValidationError(f"hot arm index {hot} out of range for N={n}")
-    if s[hot] <= 1.0 + SUM_RTOL:
+    if not 0 <= hot < inst.n:
+        raise ValidationError(f"hot arm index {hot} out of range for N={inst.n}")
+    s_hot = float(inst.popularity[hot])
+    if _zero_loss_reachable(s_hot, inst.total):
         raise NotApplicableError(
-            f"arm {hot} has popularity {s[hot]:.17g} <= 1; use the zero-loss construction"
+            f"arm {hot} has popularity {s_hot:.17g} <= {_reach(inst.total)}; "
+            "use the zero-loss construction"
         )
-    eps = (float(s[hot]) - 1.0) / (2.0 * (n - 1))
-    # Row-major cells: (i, hot) for i < hot, the hot row, (i, hot) for i > hot.
-    below = hot + n - 1  # where the cells below the hot row start
-    rows = np.empty(2 * n - 2, dtype=np.intp)
-    cols = np.empty(2 * n - 2, dtype=np.intp)
-    vals = np.empty(2 * n - 2)
-    rows[:hot] = cols[hot:2 * hot] = np.arange(hot)
-    rows[below:] = cols[2 * hot:below] = np.arange(hot + 1, n)
-    rows[hot:below] = cols[:hot] = cols[below:] = hot
-    vals[:hot], vals[hot:2 * hot] = inst.a[:hot], inst.b[:hot]
-    vals[2 * hot:below], vals[below:] = inst.b[hot + 1:], inst.a[hot + 1:]
-    vals += eps
-    return JointSelectionMatrix(Cells(n, rows, cols, vals), 1.0)
+    return JointSelectionMatrix(_hot_arm_cells(inst, hot, 1.0), 1.0)
 
 
 def _extremes(v: Vec, skip: int) -> list[int]:
@@ -224,13 +228,12 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     reads the matrix's dense-order total, and is computed on the first
     read of ``residuals``. The dense entries are not read.
     """
-    _require_unit_total(inst.total, "KKT certificate")
+    hot, s_max = _hot(inst, "KKT certificate")
+    if _zero_loss_reachable(s_max, inst.total):
+        raise NotApplicableError(
+            f"KKT certificate only applies when max S > {_reach(inst.total)}"
+        )
     n = inst.n
-    s = inst.popularity
-    hot = int(np.argmax(s))
-    s_max = float(s[hot])
-    if s_max <= 1.0 + SUM_RTOL:
-        raise NotApplicableError("KKT certificate only applies when max S > 1")
     eps = (s_max - 1.0) / (2.0 * (n - 1))
     mu = 2.0 * (n - 2) * eps
     lam_cold = 2.0 * n * eps
@@ -296,9 +299,8 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
     max S  > 1: hot-arm matrix with its KKT certificate; achieved loss
     equals N/(2(N-1)) (S_max-1)^2 to float accuracy.
     """
-    _require_unit_total(inst.total, "optimal satisfaction matrix")
-    hot = int(np.argmax(inst.popularity))
-    if inst.popularity[hot] <= 1.0 + SUM_RTOL:
+    hot, s_max = _hot(inst, "optimal satisfaction matrix")
+    if _zero_loss_reachable(s_max, inst.total):
         m = construct_zero_loss(inst)
         return OptimalResult(m, loss(m, inst), None, "zero-loss")
     m = min_loss_matrix(inst, hot)

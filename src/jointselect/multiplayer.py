@@ -11,6 +11,9 @@ weights are. Popularity is S_i = sum over players of their weight on
 arm i. If some S_i > 1, zero loss is impossible for every M (each unit
 of probability feeds arm i through at most one player). The converse is
 proven only for M = 2, so for M >= 3 the verdict says "conjectured".
+The verdict reads the one zero-loss decision that the two-player dispatch
+reads, `core._zero_loss_reachable` (S <= 1 up to 1e-9), so at M = 2 it is
+"feasible" exactly when the dispatch takes the zero-loss branch.
 `solve_multi_min_loss` runs the package's projected-gradient loop
 (`oracle.descend`) over the tuple simplex, up to `oracle.MAX_TUPLES`
 tuples; at M = 2 it is the two-player oracle. The loss and marginals
@@ -29,7 +32,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import (SUM_RTOL, JointSelectionMatrix, Vec, _clean_weights, _floats, _positions,
-                   _sum, _weight_rows)
+                   _sum, _weight_rows, _zero_loss_reachable)
 from .errors import (
     DimensionMismatchError,
     NonDistinctKeyError,
@@ -157,7 +160,7 @@ def feasibility_verdict(prefs: MultiPreferences) -> Feasibility:
         raise TooFewArmsError(
             f"{prefs.n_players} players need at least that many arms, got {prefs.n_arms}"
         )
-    if float(prefs.popularity.max()) > 1.0 + SUM_RTOL:
+    if not _zero_loss_reachable(float(prefs.popularity.max()), 1.0):
         return Feasibility.INFEASIBLE
     if prefs.n_players == 2:
         return Feasibility.FEASIBLE

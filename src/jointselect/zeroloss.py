@@ -20,9 +20,16 @@ solution of a transportation problem: at most 2N - 1 nonzero entries,
 beyond float dust. The last three arms' block is solved from their six
 weights, with the checks and scaling an instance of them would get but
 without building one, so a call validates only the instance it is
-given. The peeled cells and that block's six off-diagonal entries are
-sorted once, by key, into row-major order and handed over as cells; no
-N x N array is formed until the entries are read.
+given. The nonzero cells of the peel and of that block are sorted once,
+by key, into row-major order and handed over; no N x N array is formed
+until the entries are read.
+
+Whether zero loss is in reach is one decision, `core._zero_loss_reachable`
+(S_max <= T up to the sums' 1e-9 tolerance), which the dispatch and the
+feasibility verdict read too. Inside that tolerance band, T < S_max, the
+peel's last block would be empty by S_max - T; the answer there is the
+hot-arm matrix of `minloss` at total T (`_hot_arm_cells`, the one builder
+of those cells), whose marginals miss A and B by at most (S_max - T)/2.
 
 The induction is its own witness, so the loop re-checks none of its
 steps: feasibility is checked once before it, and the answer once, as a
@@ -64,6 +71,7 @@ from .core import (
     Vec,
     _rescale,
     _tol,
+    _zero_loss_reachable,
     validate_instance,
 )
 from .errors import (
@@ -91,7 +99,7 @@ class RowColFill:
 
 
 def _require_feasible(s_max: float, total: float) -> None:
-    if s_max > total + _tol(total):
+    if not _zero_loss_reachable(s_max, total):
         raise PopularityExceedsTotalError(
             f"max popularity {s_max:.17g} exceeds total {total:.17g}; "
             "zero loss is unattainable (use the minimum-loss construction)"
@@ -152,9 +160,9 @@ def base_case_three(inst: ProblemInstance) -> JointSelectionMatrix:
 def _fill(a, b, k: int, v: int, n: int, alive, start_a: int, start_b: int, tol: float, keys, vals):
     """Fill row and column K against V, in place, on weights indexed by arm.
 
-    Appends each cell (i, j) as its key i * n + j to ``keys`` and its value
-    to ``vals``, and takes the value off the weight it fills: B_j for
-    (K, j), A_i for (i, K). Case 2 spills A_K over B from arm ``start_b``
+    Appends each nonzero cell (i, j) as its key i * n + j to ``keys`` and
+    its value to ``vals``, and takes the value off the weight it fills: B_j
+    for (K, j), A_i for (i, K). Case 2 spills A_K over B from arm ``start_b``
     on, case 3 B_K over A from ``start_a``, past V and the dead arms (K
     among them). Returns (case, cut): cut took a spill's partial remainder,
     None if the weights ran out first; the float dust left then is parked
@@ -175,15 +183,17 @@ def _fill(a, b, k: int, v: int, n: int, alive, start_a: int, start_b: int, tol: 
             if j == v or not alive[j]:
                 continue
             x = w[j]
-            keys.append(base + j * step)
-            if rem <= x:
+            if rem <= x:  # rem stays above 0, as it loses only smaller x
+                keys.append(base + j * step)
                 vals.append(rem)
                 w[j] = x - rem
                 cut, rem = j, 0.0
                 break
-            vals.append(x)
-            w[j] = 0.0
-            rem -= x
+            if x:  # a spill across a zero weight leaves no cell
+                keys.append(base + j * step)
+                vals.append(x)
+                w[j] = 0.0
+                rem -= x
         else:
             if rem > tol:
                 raise InternalInvariantError(f"case-{case} fill left budget {rem:.3e}")
@@ -191,8 +201,15 @@ def _fill(a, b, k: int, v: int, n: int, alive, start_a: int, start_b: int, tol: 
             kv = bv + rem
         else:
             vk = av + rem
-    keys += (k * n + v, v * n + k)
-    vals += (kv, vk)
+    if kv and vk:
+        keys += (k * n + v, v * n + k)
+        vals += (kv, vk)
+    elif kv:  # B_K is 0 opposite V
+        keys.append(k * n + v)
+        vals.append(kv)
+    elif vk:  # A_K is 0 opposite V
+        keys.append(v * n + k)
+        vals.append(vk)
     x, y = bv - kv, av - vk
     b[v] = 0.0 if x < 0.0 else x
     a[v] = 0.0 if y < 0.0 else y
@@ -221,7 +238,8 @@ def fill_row_col(inst: ProblemInstance, k: int, v: int) -> RowColFill:
     alive = [j != k for j in range(n)]
     keys, vals = [], []
     case, cut = _fill(inst.a.tolist(), inst.b.tolist(), k, v, n, alive, 0, 0, tol, keys, vals)
-    i, j = np.divmod(keys, n)  # row K holds the cells (K, j), column K the cells (i, K)
+    # Row K holds the cells (K, j), column K the cells (i, K); there may be none.
+    i, j = np.divmod(np.array(keys, dtype=np.intp), n)
     row, col = np.zeros(n), np.zeros(n)
     row[j[i == k]] = np.array(vals)[i == k]
     col[i[i != k]] = np.array(vals)[i != k]
@@ -244,26 +262,33 @@ def reduce_instance(inst: ProblemInstance, fill: RowColFill) -> ProblemInstance:
     return reduced
 
 
-def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
-    """Matrix with row sums A and column sums B; requires all S_i <= T.
+def _hot_arm_cells(inst: ProblemInstance, hot: int, total: float) -> Cells:
+    """The 2N - 2 cells that route everything through arm ``hot``, S_hot >= total.
 
-    Raises PopularityExceedsTotalError when some arm is too popular, and
-    InfeasibleTwoArmError for two-arm instances whose popularities are not
-    both equal to the total (the only two-arm case with a zero-loss matrix).
-    The answer is checked once, as a whole, not peel by peel: its cells and
-    total by `JointSelectionMatrix`, then its marginals against A and B;
-    a miss raises InternalInvariantError.
+    Column ``hot`` holds A_i + eps and row ``hot`` holds B_j + eps, with
+    eps = (S_hot - total)/(2(N - 1)), so the cells sum to ``total`` and no
+    cell avoids the hot arm. Row and column sums miss A and B by eps off
+    the hot arm and by (S_hot - total)/2 at it.
     """
-    n, t = inst.n, inst.total
-    if n == 2:
-        if abs(float(inst.popularity[0]) - t) > _tol(t):
-            raise InfeasibleTwoArmError(
-                f"two arms admit zero loss only when S = ({t:.17g}, {t:.17g}); "
-                f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
-            )
-        return JointSelectionMatrix(Cells(2, [0, 1], [1, 0], inst.a), t)
-    _require_feasible(float(inst.popularity.max()), t)
+    n = inst.n
+    eps = (float(inst.popularity[hot]) - total) / (2.0 * (n - 1))
+    # Row-major cells: (i, hot) for i < hot, the hot row, (i, hot) for i > hot.
+    below = hot + n - 1  # where the cells below the hot row start
+    rows = np.empty(2 * n - 2, dtype=np.intp)
+    cols = np.empty(2 * n - 2, dtype=np.intp)
+    vals = np.empty(2 * n - 2)
+    rows[:hot] = cols[hot:2 * hot] = np.arange(hot)
+    rows[below:] = cols[2 * hot:below] = np.arange(hot + 1, n)
+    rows[hot:below] = cols[:hot] = cols[below:] = hot
+    vals[:hot], vals[hot:2 * hot] = inst.a[:hot], inst.b[:hot]
+    vals[2 * hot:below], vals[below:] = inst.b[hot + 1:], inst.a[hot + 1:]
+    vals += eps
+    return Cells(n, rows, cols, vals)
 
+
+def _peel_cells(inst: ProblemInstance) -> Cells:
+    """The peel's nonzero cells in row-major order, N >= 3 and every S_i <= T."""
+    n, t = inst.n, inst.total
     a, b, s = inst.a.tolist(), inst.b.tolist(), inst.popularity.tolist()
     alive = [True] * n
     # Popularities only fall. `low` gets an entry per change, so an entry is
@@ -313,13 +338,43 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     live = [i for i in range(n) if alive[i]]
     a3 = _base_weights([a[i] for i in live], total)
     b3 = _base_weights([b[i] for i in live], total)
-    # The base block goes in whole, zeros too, as the peel's cells do.
-    keys.extend(live[i] * n + live[j] for i, j in zip(_BASE_ROWS, _BASE_COLS))
-    vals.extend(_base_values(a3, b3, total))
+    for i, j, x in zip(_BASE_ROWS, _BASE_COLS, _base_values(a3, b3, total)):
+        if x:  # the base block's zeros are no cells, as the peel's are not
+            keys.append(live[i] * n + live[j])
+            vals.append(x)
     flat = np.array(keys, dtype=np.intp)
     order = np.argsort(flat, kind="stable")  # row-major; positions are distinct
     rows, cols = np.divmod(flat[order], n)
-    m = JointSelectionMatrix(Cells(n, rows, cols, np.array(vals)[order]), t)
+    return Cells(n, rows, cols, np.array(vals)[order])
+
+
+def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
+    """Matrix with row sums A and column sums B; requires all S_i <= T.
+
+    Raises PopularityExceedsTotalError when some arm is too popular, and
+    InfeasibleTwoArmError for two-arm instances whose popularities are not
+    both equal to the total (the only two-arm case with a zero-loss matrix).
+    An arm inside the band T < S_i <= T + 1e-9 (relative) gets the hot-arm
+    matrix, whose marginals miss A and B by at most (S_i - T)/2.
+    The answer is checked once, as a whole, not peel by peel: its cells and
+    total by `JointSelectionMatrix`, then its marginals against A and B;
+    a miss raises InternalInvariantError.
+    """
+    n, t = inst.n, inst.total
+    if n == 2:
+        if abs(float(inst.popularity[0]) - t) > _tol(t):
+            raise InfeasibleTwoArmError(
+                f"two arms admit zero loss only when S = ({t:.17g}, {t:.17g}); "
+                f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
+            )
+        return JointSelectionMatrix(Cells(2, [0, 1], [1, 0], inst.a), t)
+    s_max = float(inst.popularity.max())
+    _require_feasible(s_max, t)
+    if s_max > t:  # inside the band, where the peel's last block would be empty
+        cells = _hot_arm_cells(inst, int(inst.popularity.argmax()), t)
+    else:
+        cells = _peel_cells(inst)
+    m = JointSelectionMatrix(cells, t)
     pi_a, pi_b = m.marginals
     miss = max(float(np.abs(pi_a - inst.a).max()), float(np.abs(pi_b - inst.b).max()))
     if miss > _tol(t):

@@ -756,6 +756,38 @@ def test_feasibility_reads_the_popularity_construct_prints(capsys, tmp_path):
                                                             0.44999999921]
 
 
+# S_max at 1 + 1e-9 as floats, the last popularities the dispatch admits;
+# the peel's last block would be empty by nearly that much.
+BAND_EDGE = [
+    ([0.5, 0.20003539268562529, 0.2999646073133747],
+     [0.500000001, 0.44860192452441866, 0.051398074474581314]),
+    ([0.3877718467539529, 0.19460226836804834, 0.41762588487799873],
+     [0.19989925734805816, 0.21772662652994054, 0.5823741161220012]),
+    ([0.3086044236643072, 0.4946077479455102, 0.08911307104285034, 0.10767475734733227],
+     [0.2418494817772501, 0.5053922530544898, 0.03777783379121082, 0.21498043137704922]),
+]
+
+
+@pytest.mark.parametrize("a, b", BAND_EDGE, ids=["total", "marginals", "peel"])
+def test_construct_answers_at_the_edge_of_the_band_that_feasibility_admits(capsys, tmp_path, a, b):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"a": a, "b": b}))
+    code, out, err = run(capsys, "construct", str(path), "--require-zero-loss")
+    assert code == 0, err
+    built = json.loads(out)
+    assert built["branch"] == "zero-loss"
+    assert 1.0 < max(built["popularity"]) <= 1.0 + 1e-9
+    # The hot-arm matrix at total 1: its marginals miss by about (S_max - 1)/2.
+    m = matrix_from_json(built)
+    pi_a, pi_b = m.marginals
+    inst = validate_instance(a, b)
+    assert max(np.abs(pi_a - inst.a).max(), np.abs(pi_b - inst.b).max()) <= 0.51e-9
+    assert m.vals.size == 2 * len(a) - 2
+    code, out, _ = run(capsys, "feasibility", feas_file(tmp_path, [a, b]))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "feasible"
+
+
 def test_feasibility_player_count_crosscheck(capsys, tmp_path):
     path = feas_file(tmp_path, [TABLE1_A, TABLE1_B])
     code, _, err = run(capsys, "feasibility", path, "--players", "3")

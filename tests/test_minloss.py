@@ -251,6 +251,31 @@ def test_kkt_not_applicable_on_cool_instance(table1):
         kkt_verify(table1, uniform_random(3))
 
 
+def test_layers_left_to_the_zero_loss_branch_state_its_bound_in_the_band():
+    # S_0 = 1 + 1e-9 as floats: past 1, but zero loss is still in reach.
+    inst = validate_instance([0.5, 0.20003539268562529, 0.2999646073133747],
+                             [0.500000001, 0.44860192452441866, 0.051398074474581314])
+    with pytest.raises(NotApplicableError) as err:
+        min_loss_matrix(inst, hot=0)
+    assert str(err.value) == (
+        "arm 0 has popularity 1.0000000010000001 <= 1 + 1e-09; use the zero-loss construction"
+    )
+    with pytest.raises(NotApplicableError) as err:
+        kkt_verify(inst, optimal_satisfaction_matrix(inst).matrix)
+    assert str(err.value) == "KKT certificate only applies when max S > 1 + 1e-09"
+
+
+def test_the_dispatch_reads_the_total_that_the_zero_loss_branch_reads():
+    # T = 1 - 5e-10 and S_0 = 1 + 8e-10: within 1e-9 of 1, but past T + 1e-9,
+    # so zero loss is out of reach.
+    a, b = [0.6, 0.25, 0.1499999995], [0.4000000008, 0.3, 0.2999999987]
+    inst = validate_instance(a, b, 1.0 - 5e-10)
+    result = optimal_satisfaction_matrix(inst)
+    assert result.branch == "min-loss"
+    assert result.certificate.valid
+    assert min_loss_value(inst) > 0.0
+
+
 def kkt_case(n: int, seed: int, kind: str):
     """A hot instance and a matrix to certify against it."""
     rng = np.random.default_rng(seed)

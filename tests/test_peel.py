@@ -1,4 +1,5 @@
-"""The flat zero-loss peel: frozen outputs, a recursive reference, growth pins.
+"""The flat zero-loss peel: frozen outputs, a recursive reference, growth pins,
+and the one zero-loss decision across the 1e-9 dispatch band.
 
 The frozen digests were taken from the recursive construction that the
 flat loop replaced. Each one is the sha256 of ``(entries + 0.0).tobytes()``
@@ -10,6 +11,7 @@ a zero is not part of the answer.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import tracemalloc
 
@@ -18,15 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jointselect.core as core
 import jointselect.zeroloss as zeroloss
 from jointselect import (
+    Feasibility,
     JointSelectError,
+    NotApplicableError,
     base_case_three,
     construct_zero_loss,
+    feasibility_verdict,
     fill_row_col,
+    kkt_verify,
+    min_loss_matrix,
+    min_loss_value,
+    optimal_satisfaction_matrix,
     preference_family,
     reduce_instance,
     validate_instance,
+    validate_multi,
 )
 
 ALPHAS = (0.2, 1.0, 5.0)
@@ -191,18 +202,51 @@ def zero_heavy_pairs(draw):
     return a / a.sum(), b / b.sum()
 
 
+# The last popularity the dispatch admits at total 1, 1 + 1e-9 as floats.
+EDGE = 1.0 + 1e-9
+
+
+def _floats_from(x: float, count: int, toward: float) -> list[float]:
+    out = [x]
+    while len(out) < count:
+        out.append(math.nextafter(out[-1], toward))
+    return out
+
+
+# S_max across the 1e-9 dispatch band: round steps, the last 64 floats at
+# or below its edge and the first 8 above it.
+BAND_S = sorted(
+    {1.0 + d for d in (-1e-9, -1e-10, 0.0, 1e-12, 1e-10, 5e-10, 9.9e-10, 1e-9, 1.1e-9)}
+    | set(_floats_from(EDGE, 64, 0.0))
+    | set(_floats_from(math.nextafter(EDGE, 2.0), 8, 2.0))
+)
+
+
 @st.composite
-def band_pairs(draw):
-    """One arm with S_max - 1 across the 1e-9 dispatch band."""
-    n = draw(st.integers(3, 20))
-    delta = draw(st.sampled_from([-1e-10, 0.0, 1e-12, 1e-10, 5e-10, 9.9e-10, 1.1e-9]))
-    p = draw(st.floats(0.05, 0.95))
+def band_pairs(draw, sizes=st.integers(3, 20)):
+    """One arm j whose popularity is exactly a value of BAND_S."""
+    n = draw(sizes)
+    target = draw(st.sampled_from(BAND_S))
+    # p has 20 bits after the point, so target - p and p + q are exact.
+    p = draw(st.integers(2**16, 15 * 2**16)) / 2**20
     j = draw(st.integers(0, n - 1))
     seed = draw(st.integers(0, 2**32 - 1))
+    q = target - p
     rng = np.random.default_rng(seed)
     a = np.insert((1.0 - p) * rng.dirichlet(np.ones(n - 1)), j, p)
-    b = np.insert((p - delta) * rng.dirichlet(np.ones(n - 1)), j, 1.0 - p + delta)
+    b = np.insert((1.0 - q) * rng.dirichlet(np.ones(n - 1)), j, q)
     return a, b
+
+
+def hot_arm_entries(inst):
+    """The hot-arm matrix at total 1, built from its closed form."""
+    hot = int(np.argmax(inst.popularity))
+    eps = (inst.popularity[hot] - 1.0) / (2.0 * (inst.n - 1))
+    e = np.zeros((inst.n, inst.n))
+    e[:, hot] = inst.a + eps
+    e[hot, :] = inst.b + eps
+    e[hot, hot] = 0.0
+    return e
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,7 +264,35 @@ def test_flat_peel_matches_reference_on_zero_weights(pair):
 @settings(max_examples=150, deadline=None)
 @given(band_pairs())
 def test_flat_peel_matches_reference_across_dispatch_band(pair):
-    assert_matches_reference(*pair)
+    inst = validate_instance(*pair)
+    if 1.0 < inst.popularity.max() <= EDGE:  # the peel's last block would be empty
+        assert np.array_equal(construct_zero_loss(inst).entries, hot_arm_entries(inst))
+    else:
+        assert_matches_reference(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_pairs(st.sampled_from([*range(3, 65), 1000])))
+def test_one_zero_loss_decision_and_a_verified_answer_across_the_band(pair):
+    inst = validate_instance(*pair)
+    result = optimal_satisfaction_matrix(inst)
+    zero = result.branch == "zero-loss"
+    assert zero == (inst.popularity.max() <= EDGE)
+    assert (feasibility_verdict(validate_multi(pair)) is Feasibility.FEASIBLE) == zero
+    assert (min_loss_value(inst) == 0.0) == zero
+    hot = int(np.argmax(inst.popularity))
+    for layer in (lambda: min_loss_matrix(inst, hot), lambda: kkt_verify(inst, result.matrix)):
+        try:
+            layer()
+        except NotApplicableError:
+            assert zero
+        else:
+            assert not zero
+    if zero:
+        pi_a, pi_b = result.matrix.marginals
+        assert max(np.abs(pi_a - inst.a).max(), np.abs(pi_b - inst.b).max()) <= 1e-9
+    else:
+        assert result.certificate.valid
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +331,25 @@ def test_one_validation_and_one_matrix_beyond_the_input(monkeypatch):
     construct_zero_loss(inst)
     assert calls["validate"] <= 2
     assert calls["matrix"] <= 2
+
+
+def test_the_peel_hands_over_its_nonzero_cells_only(monkeypatch):
+    # Zero weights, ties and S_max = 1 leave spills across zero weights,
+    # zero weights opposite V and zeros in the base block.
+    handed = []
+    store = core._cell_store
+
+    def counted(cells):
+        handed.append(np.array(cells.vals, dtype=np.float64))
+        return store(cells)
+
+    monkeypatch.setattr(core, "_cell_store", counted)
+    for group in (zero_blocks, all_tied, s_max_one):
+        for a, b in group():
+            construct_zero_loss(validate_instance(a, b))
+    vals = np.concatenate(handed)
+    assert vals.size > 10_000
+    assert np.count_nonzero(vals == 0.0) == 0
 
 
 def traced_zero_loss_build(n: int) -> int:
