@@ -52,7 +52,6 @@ _EXPORTS = {
     "errors": (
         "DegenerateProductError",
         "DimensionMismatchError",
-        "InfeasibleTwoArmError",
         "InternalInvariantError",
         "InvalidArmCountError",
         "JointSelectError",

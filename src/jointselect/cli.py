@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
         if args.matrix is not None:
             m = matrix_from_json(_read_json(args.matrix))
         else:
-            m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+            m = min_loss_matrix(inst)
         cert = kkt_verify(inst, m)
         sections["kkt"] = {"epsilon": cert.epsilon, "mu": cert.mu,
                            "residuals": asdict(cert.residuals), "valid": cert.valid}

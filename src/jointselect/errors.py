@@ -39,10 +39,6 @@ class PopularityExceedsTotalError(JointSelectError):
     """Some arm's popularity exceeds the total: zero loss is unattainable."""
 
 
-class InfeasibleTwoArmError(JointSelectError):
-    """Two arms admit zero loss only when both popularities equal the total."""
-
-
 class NotApplicableError(JointSelectError):
     """The requested construction does not apply to this instance."""
 

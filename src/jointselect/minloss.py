@@ -30,8 +30,9 @@ the dense entries are likewise built only when read.
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
 certificate otherwise. That bound is one decision,
 `core._zero_loss_reachable`, which `min_loss_value`, `min_loss_matrix`
-and `kkt_verify` read too, so each of them either applies or leaves the
-input to the zero-loss branch. The hot-arm cells are built by
+and `kkt_verify` read too, on the instance's own most popular arm
+(`_hot`), so each of them either applies or leaves the input to the
+zero-loss branch. The hot-arm cells are built by
 `zeroloss._hot_arm_cells`, which also answers inside the band
 1 < max S <= 1 + 1e-9.
 """
@@ -180,16 +181,14 @@ def min_loss_value(inst: ProblemInstance) -> float:
     return n / (2.0 * (n - 1)) * (s_max - 1.0) ** 2
 
 
-def min_loss_matrix(inst: ProblemInstance, hot: int) -> JointSelectionMatrix:
+def min_loss_matrix(inst: ProblemInstance) -> JointSelectionMatrix:
     """Hot-arm matrix: column ``hot`` holds A_i + eps, row ``hot`` holds B_j + eps.
 
-    Requires S_hot > 1 (+1e-9), which with unit total also makes ``hot``
-    the unique most popular arm. The cells are `zeroloss._hot_arm_cells`.
+    ``hot`` is the most popular arm, which must have S_hot > 1 (+1e-9);
+    with unit total it is then the only such arm. The cells are
+    `zeroloss._hot_arm_cells`.
     """
-    _require_unit_total(inst.total, "hot-arm matrix")
-    if not 0 <= hot < inst.n:
-        raise ValidationError(f"hot arm index {hot} out of range for N={inst.n}")
-    s_hot = float(inst.popularity[hot])
+    hot, s_hot = _hot(inst, "hot-arm matrix")
     if _zero_loss_reachable(s_hot, inst.total):
         raise NotApplicableError(
             f"arm {hot} has popularity {s_hot:.17g} <= {_reach(inst.total)}; "
@@ -299,11 +298,11 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
     max S  > 1: hot-arm matrix with its KKT certificate; achieved loss
     equals N/(2(N-1)) (S_max-1)^2 to float accuracy.
     """
-    hot, s_max = _hot(inst, "optimal satisfaction matrix")
+    _, s_max = _hot(inst, "optimal satisfaction matrix")
     if _zero_loss_reachable(s_max, inst.total):
         m = construct_zero_loss(inst)
         return OptimalResult(m, loss(m, inst), None, "zero-loss")
-    m = min_loss_matrix(inst, hot)
+    m = min_loss_matrix(inst)
     cert = kkt_verify(inst, m)
     return OptimalResult(m, loss(m, inst), cert, "min-loss")
 

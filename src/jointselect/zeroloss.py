@@ -4,8 +4,10 @@ If every popularity satisfies S_i <= T, a conflict-free matrix reproducing
 both preference vectors exactly exists, by induction on the number of
 arms: peel off the least popular arm K by filling its row and column,
 which reduces the problem to N-1 arms with total T - S_K, and bottom out
-at an explicit three-arm solution. Two arms are handled as a direct input
-case only (the peel never goes below three).
+at an explicit three-arm solution. Two arms have S_0 = S_1 = T as their
+only zero-loss case, and the matrix there is its two cells (0, 1) = A_0
+and (1, 0) = A_1; they read the same decision, band rule and final check
+as any N (the peel never goes below three).
 
 `construct_zero_loss` runs that induction as one flat loop over the
 original arm indices, on Python floats and ints. A heap keyed (S_i, i),
@@ -74,12 +76,7 @@ from .core import (
     _zero_loss_reachable,
     validate_instance,
 )
-from .errors import (
-    InfeasibleTwoArmError,
-    InternalInvariantError,
-    PopularityExceedsTotalError,
-    ValidationError,
-)
+from .errors import InternalInvariantError, PopularityExceedsTotalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -351,27 +348,22 @@ def _peel_cells(inst: ProblemInstance) -> Cells:
 def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
     """Matrix with row sums A and column sums B; requires all S_i <= T.
 
-    Raises PopularityExceedsTotalError when some arm is too popular, and
-    InfeasibleTwoArmError for two-arm instances whose popularities are not
-    both equal to the total (the only two-arm case with a zero-loss matrix).
-    An arm inside the band T < S_i <= T + 1e-9 (relative) gets the hot-arm
-    matrix, whose marginals miss A and B by at most (S_i - T)/2.
-    The answer is checked once, as a whole, not peel by peel: its cells and
-    total by `JointSelectionMatrix`, then its marginals against A and B;
-    a miss raises InternalInvariantError.
+    Raises PopularityExceedsTotalError when some arm is too popular; at
+    N = 2 that is every instance but S = (T, T). An arm inside the band
+    T < S_i <= T + 1e-9 (relative) gets the hot-arm matrix, whose
+    marginals miss A and B by at most (S_i - T)/2. Otherwise two arms get
+    the cells (0, 1) = A_0 and (1, 0) = A_1, and more arms the peel.
+    Every answer is checked once, as a whole, not peel by peel: its cells
+    and total by `JointSelectionMatrix`, then its marginals against A and
+    B; a miss raises InternalInvariantError.
     """
     n, t = inst.n, inst.total
-    if n == 2:
-        if abs(float(inst.popularity[0]) - t) > _tol(t):
-            raise InfeasibleTwoArmError(
-                f"two arms admit zero loss only when S = ({t:.17g}, {t:.17g}); "
-                f"got S = ({inst.popularity[0]:.17g}, {inst.popularity[1]:.17g})"
-            )
-        return JointSelectionMatrix(Cells(2, [0, 1], [1, 0], inst.a), t)
     s_max = float(inst.popularity.max())
     _require_feasible(s_max, t)
     if s_max > t:  # inside the band, where the peel's last block would be empty
         cells = _hot_arm_cells(inst, int(inst.popularity.argmax()), t)
+    elif n == 2:
+        cells = Cells(2, [0, 1], [1, 0], inst.a)
     else:
         cells = _peel_cells(inst)
     m = JointSelectionMatrix(cells, t)

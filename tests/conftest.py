@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from jointselect import validate_instance
+
+# The repository root, so that tests can import ``perfbench`` (the
+# benchmark's answer checker and traced bindings) next to the package.
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
 # The running example used throughout: A favors the last arm, B the first,
 # and every popularity stays at or below 1.

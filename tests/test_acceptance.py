@@ -203,7 +203,7 @@ def test_criterion_08_kkt_certificate_family_iv():
     worst = 0.0
     for n in (3, 10, 50):
         inst = preference_family("iv", n)
-        m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+        m = min_loss_matrix(inst)
         cert = kkt_verify(inst, m)
         assert cert.valid
         worst = max(worst, cert.residuals.max())

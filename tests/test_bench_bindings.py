@@ -8,14 +8,7 @@ checks the names, not the timings.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-if str(ROOT) not in sys.path:
-    sys.path.insert(0, str(ROOT))
-
-from perfbench.tracer import bindings  # noqa: E402
+from perfbench.tracer import bindings
 
 
 def test_every_traced_binding_resolves():

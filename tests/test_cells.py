@@ -132,7 +132,7 @@ def test_builders_store_only_their_cells():
             np.append(0.1 * rng.dirichlet(np.ones(n - 1)), 0.9),
             np.append(0.5 * rng.dirichlet(np.ones(n - 1)), 0.5),
         )
-        assert min_loss_matrix(hot, n - 1).vals.size == 2 * n - 2
+        assert min_loss_matrix(hot).vals.size == 2 * n - 2
         if n >= 3:
             m = construct_zero_loss(random_feasible_instance(rng, n))
             assert np.count_nonzero(m.entries) == m.vals.size
@@ -215,7 +215,7 @@ def test_dense_and_slab_row_sums_agree_bit_for_bit(monkeypatch, n):
         np.append(0.1 * rng.dirichlet(np.ones(n - 1)), 0.9),
         np.append(0.5 * rng.dirichlet(np.ones(n - 1)), 0.5),
     )
-    built = (construct_zero_loss(random_feasible_instance(rng, n)), min_loss_matrix(hot, n - 1))
+    built = (construct_zero_loss(random_feasible_instance(rng, n)), min_loss_matrix(hot))
     cells = [Cells(n, m.rows, m.cols, m.vals) for m in built]
     cells += [random_cells(n, n, "any"), random_cells(n, n, "full")]
     sums = []

@@ -31,6 +31,7 @@ from jointselect.core import given_loss
 from jointselect.cli import main
 
 from conftest import TABLE1_A, TABLE1_B
+from perfbench.checker import check_matrix
 
 HOT_A = [0.1, 0.1, 0.8]
 HOT_B = [0.0, 0.2, 0.8]
@@ -765,10 +766,14 @@ BAND_EDGE = [
      [0.19989925734805816, 0.21772662652994054, 0.5823741161220012]),
     ([0.3086044236643072, 0.4946077479455102, 0.08911307104285034, 0.10767475734733227],
      [0.2418494817772501, 0.5053922530544898, 0.03777783379121082, 0.21498043137704922]),
+    ([0.5, 0.5], [0.500000001, 0.499999999]),
+    ([0.19926834106445312, 0.8007316589352322], [0.8007316599355467, 0.19926834006440758]),
+    ([0.8216638489288124, 0.17833615107045794], [0.17833615007113723, 0.8216638499286871]),
 ]
 
 
-@pytest.mark.parametrize("a, b", BAND_EDGE, ids=["total", "marginals", "peel"])
+@pytest.mark.parametrize("a, b", BAND_EDGE, ids=["total", "marginals", "peel", "two-arms",
+                                                 "two-arms-marginals", "two-arms-unscaled"])
 def test_construct_answers_at_the_edge_of_the_band_that_feasibility_admits(capsys, tmp_path, a, b):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"a": a, "b": b}))
@@ -783,6 +788,8 @@ def test_construct_answers_at_the_edge_of_the_band_that_feasibility_admits(capsy
     inst = validate_instance(a, b)
     assert max(np.abs(pi_a - inst.a).max(), np.abs(pi_b - inst.b).max()) <= 0.51e-9
     assert m.vals.size == 2 * len(a) - 2
+    # The benchmark's checker, which shares no code with the package, agrees.
+    assert check_matrix(a, b, built["branch"], built["entries"], built["loss"], None)[0] == []
     code, out, _ = run(capsys, "feasibility", feas_file(tmp_path, [a, b]))
     assert code == 0
     assert json.loads(out)["verdict"] == "feasible"

@@ -455,7 +455,7 @@ def test_array_holding_types_compare_by_identity():
         lambda: validate_instance(TABLE1_A, TABLE1_B),
         lambda: uniform_random(3),
         lambda: validate_multi([[0.5, 0.5], [0.5, 0.5]]),
-        lambda: kkt_verify(hot, min_loss_matrix(hot, 2)),
+        lambda: kkt_verify(hot, min_loss_matrix(hot)),
     )
     for make in makers:
         x, y = make(), make()
@@ -493,7 +493,7 @@ def test_loss_after_kkt_verify_matches_a_fresh_matrix_bit_for_bit():
         a = np.append((1.0 - x) * rng.dirichlet(np.ones(n - 1)), x)
         b = np.append((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), s_hot - x)
         inst = validate_instance(a, b)
-        m = min_loss_matrix(inst, n - 1)
+        m = min_loss_matrix(inst)
         assert kkt_verify(inst, m).valid
         fresh = JointSelectionMatrix(np.array(m.entries))
         assert loss(m, inst) == loss(fresh, inst) == raw_loss(fresh.entries, inst.a, inst.b)
@@ -658,9 +658,9 @@ def sparse_matrices():
         np.array([[0.0, -0.0, 0.4, 1e-16], [0.0, 0.0, 0.0, 0.1], [-0.0, 0.3, 0.0, 0.0],
                   [0.2 - 1e-16, 0.0, 0.0, 0.0]])
     )
-    yield JointSelectionMatrix(np.asfortranarray(min_loss_matrix(hot, 3).entries))
-    yield min_loss_matrix(hot, 3)  # hot arm last: row 0 leads with zeros
-    yield min_loss_matrix(validate_instance(hot.a[::-1], hot.b[::-1]), 0)
+    yield JointSelectionMatrix(np.asfortranarray(min_loss_matrix(hot).entries))
+    yield min_loss_matrix(hot)  # hot arm last: row 0 leads with zeros
+    yield min_loss_matrix(validate_instance(hot.a[::-1], hot.b[::-1]))
     for n in (4, 9, 33):
         yield construct_zero_loss(random_feasible_instance(rng, n))
     yield construct_zero_loss(validate_instance([0.5, 0.0, 0.25, 0.25], [0.0, 0.5, 0.25, 0.25]))

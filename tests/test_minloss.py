@@ -121,7 +121,7 @@ def test_min_loss_matrix_worked_example():
     # A = (0.1, 0.1, 0.8), B = (0, 0.2, 0.8): arm 2 is hot with S = 1.6,
     # eps = 0.15; the matrix concentrates everything on row/column 2.
     inst = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
-    m = min_loss_matrix(inst, hot=2)
+    m = min_loss_matrix(inst)
     expected = np.array(
         [[0.0, 0.0, 0.25], [0.0, 0.0, 0.25], [0.15, 0.35, 0.0]]
     )
@@ -132,7 +132,7 @@ def test_min_loss_matrix_worked_example():
 
 def test_min_loss_matrix_two_arms():
     inst = validate_instance([0.3, 0.7], [0.3, 0.7])
-    m = min_loss_matrix(inst, hot=1)
+    m = min_loss_matrix(inst)
     np.testing.assert_allclose(m.entries, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
     assert loss(m, inst) == pytest.approx(0.16, abs=1e-15)
 
@@ -142,7 +142,7 @@ def test_min_loss_matrix_total_conflict():
     e = np.zeros(n)
     e[0] = 1.0
     inst = validate_instance(e, e)
-    m = min_loss_matrix(inst, hot=0)
+    m = min_loss_matrix(inst)
     eps = 1.0 / (2 * (n - 1))
     np.testing.assert_allclose(m.entries[1:, 0], eps, rtol=0, atol=1e-15)
     np.testing.assert_allclose(m.entries[0, 1:], eps, rtol=0, atol=1e-15)
@@ -172,7 +172,7 @@ def test_min_loss_matrix_cells_equal_their_concatenated_form(n, where):
     a = np.insert((1.0 - x) * rng.dirichlet(np.ones(n - 1)), hot, x)
     b = np.insert((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), hot, s_hot - x)
     inst = validate_instance(a, b)
-    m = min_loss_matrix(inst, hot)
+    m = min_loss_matrix(inst)
     rows, cols, vals = concatenated_cells(inst, hot)
     assert m.rows.tobytes() == rows.astype(np.intp).tobytes()
     assert m.cols.tobytes() == cols.astype(np.intp).tobytes()
@@ -181,15 +181,7 @@ def test_min_loss_matrix_cells_equal_their_concatenated_form(n, where):
 
 def test_min_loss_matrix_rejects_cool_instance(table1):
     with pytest.raises(NotApplicableError):
-        min_loss_matrix(table1, hot=0)
-
-
-def test_min_loss_matrix_rejects_cool_arm_of_hot_instance():
-    inst = geometric_instance(3)
-    with pytest.raises(NotApplicableError):
-        min_loss_matrix(inst, hot=0)
-    with pytest.raises(ValidationError):
-        min_loss_matrix(inst, hot=7)
+        min_loss_matrix(table1)
 
 
 def test_min_loss_matrix_achieves_closed_form_at_random():
@@ -197,8 +189,7 @@ def test_min_loss_matrix_achieves_closed_form_at_random():
     for n in (2, 3, 5, 8):
         for _ in range(100):
             inst = random_hot_instance(rng, n)
-            hot = int(np.argmax(inst.popularity))
-            m = min_loss_matrix(inst, hot)
+            m = min_loss_matrix(inst)
             assert loss(m, inst) == pytest.approx(min_loss_value(inst), rel=1e-9)
 
 
@@ -210,7 +201,7 @@ def test_kkt_certificate_on_geometric_instances():
     for n in (3, 5, 10):
         inst = geometric_instance(n)
         hot = n - 1
-        m = min_loss_matrix(inst, hot)
+        m = min_loss_matrix(inst)
         cert = kkt_verify(inst, m)
         assert cert.valid
         assert cert.residuals.max() <= 1e-12
@@ -231,7 +222,7 @@ def test_kkt_certificate_on_geometric_instances():
 
 def test_kkt_rejects_certifying_a_perturbed_matrix():
     inst = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
-    m = min_loss_matrix(inst, hot=2)
+    m = min_loss_matrix(inst)
     bumped = m.entries.copy()
     bumped[0, 2] -= 0.01
     bumped[0, 1] += 0.01
@@ -256,7 +247,7 @@ def test_layers_left_to_the_zero_loss_branch_state_its_bound_in_the_band():
     inst = validate_instance([0.5, 0.20003539268562529, 0.2999646073133747],
                              [0.500000001, 0.44860192452441866, 0.051398074474581314])
     with pytest.raises(NotApplicableError) as err:
-        min_loss_matrix(inst, hot=0)
+        min_loss_matrix(inst)
     assert str(err.value) == (
         "arm 0 has popularity 1.0000000010000001 <= 1 + 1e-09; use the zero-loss construction"
     )
@@ -282,7 +273,7 @@ def kkt_case(n: int, seed: int, kind: str):
     inst = hot_arm_instance(rng, n)
     hot = int(np.argmax(inst.popularity))
     if kind == "hot-arm":
-        return inst, min_loss_matrix(inst, hot)
+        return inst, min_loss_matrix(inst)
     if kind == "uniform":
         return inst, uniform_random(n)
     if kind == "shared-peak":
@@ -303,9 +294,9 @@ def kkt_case(n: int, seed: int, kind: str):
             return out
 
         other = validate_instance(shifted(inst.a), shifted(inst.b))
-        return inst, min_loss_matrix(other, hot)
+        return inst, min_loss_matrix(other)
     if kind == "perturbed":
-        entries = min_loss_matrix(inst, hot).entries.copy()
+        entries = min_loss_matrix(inst).entries.copy()
         entries += rng.random((n, n)) * (rng.random((n, n)) < 0.3) * 10.0 ** rng.uniform(-12, -2)
     else:
         entries = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
@@ -356,7 +347,7 @@ def test_kkt_verify_allocates_no_dense_array():
     # the certificate now needs O(N) memory until lam is read.
     n = 2048
     inst = hot_arm_instance(np.random.default_rng(5), n)
-    m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+    m = min_loss_matrix(inst)
     tracemalloc.start()
     try:
         cert = kkt_verify(inst, m)
@@ -416,7 +407,7 @@ def test_kkt_valid_agrees_with_the_residuals_on_hot_dispatch_output():
 
 def test_kkt_valid_agrees_with_the_residuals_on_bumped_and_uniform_matrices():
     inst = validate_instance([0.1, 0.1, 0.8], [0.0, 0.2, 0.8])
-    bumped = min_loss_matrix(inst, hot=2).entries.copy()
+    bumped = min_loss_matrix(inst).entries.copy()
     bumped[0, 2] -= 0.01
     bumped[0, 1] += 0.01
     for m in (JointSelectionMatrix(bumped), uniform_random(3)):
@@ -442,7 +433,7 @@ def test_kkt_valid_decides_a_total_off_one_on_its_primal_residual(excess, valid)
     n = 64
     inst = hot_arm_instance(np.random.default_rng(41), n)
     hot = int(np.argmax(inst.popularity))
-    entries = min_loss_matrix(inst, hot).entries.copy()
+    entries = min_loss_matrix(inst).entries.copy()
     cold = np.arange(n) != hot
     block = np.ones((n - 1, n - 1)) - np.eye(n - 1)
     entries[np.ix_(cold, cold)] = block * (excess / block.sum())
@@ -607,7 +598,7 @@ def test_hot_arm_matrix_and_certificate_form_no_dense_array():
     inst = hot_arm_instance(np.random.default_rng(7), n)
     tracemalloc.start()
     try:
-        m = min_loss_matrix(inst, int(np.argmax(inst.popularity)))
+        m = min_loss_matrix(inst)
         cert = kkt_verify(inst, m)
         value = loss(m, inst)
         _, peak = tracemalloc.get_traced_memory()

@@ -17,7 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jointselect.core as core
@@ -272,7 +272,11 @@ def test_flat_peel_matches_reference_across_dispatch_band(pair):
 
 
 @settings(max_examples=300, deadline=None)
-@given(band_pairs(st.sampled_from([*range(3, 65), 1000])))
+@given(band_pairs(st.sampled_from([*range(2, 65), 1000])))
+# Two arms with S_max = 1 + 1e-9 as floats: exact rows, then rows short of
+# 1 by 7e-13, which are left unscaled.
+@example(([0.5, 0.5], [0.500000001, 0.499999999]))
+@example(([0.7499999999993, 0.25], [0.24999999899929992, 0.7500000010000001]))
 def test_one_zero_loss_decision_and_a_verified_answer_across_the_band(pair):
     inst = validate_instance(*pair)
     result = optimal_satisfaction_matrix(inst)
@@ -280,8 +284,7 @@ def test_one_zero_loss_decision_and_a_verified_answer_across_the_band(pair):
     assert zero == (inst.popularity.max() <= EDGE)
     assert (feasibility_verdict(validate_multi(pair)) is Feasibility.FEASIBLE) == zero
     assert (min_loss_value(inst) == 0.0) == zero
-    hot = int(np.argmax(inst.popularity))
-    for layer in (lambda: min_loss_matrix(inst, hot), lambda: kkt_verify(inst, result.matrix)):
+    for layer in (lambda: min_loss_matrix(inst), lambda: kkt_verify(inst, result.matrix)):
         try:
             layer()
         except NotApplicableError:

@@ -9,7 +9,6 @@ import pytest
 
 import jointselect.zeroloss as zeroloss
 from jointselect import (
-    InfeasibleTwoArmError,
     InternalInvariantError,
     JointSelectError,
     PopularityExceedsTotalError,
@@ -58,7 +57,7 @@ def test_random_feasible_two_arm_instances_build_with_zero_loss():
 
 
 def test_two_arms_infeasible_unless_popularities_match_total():
-    with pytest.raises(InfeasibleTwoArmError):
+    with pytest.raises(PopularityExceedsTotalError):
         construct_zero_loss(validate_instance([0.7, 0.3], [0.7, 0.3]))
 
 
