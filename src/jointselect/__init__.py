@@ -41,12 +41,10 @@ _EXPORTS = {
         "instance_from_json",
         "instance_to_json",
         "loss",
-        "loss_gradient",
         "matrix_from_json",
         "matrix_to_csv",
         "matrix_to_json",
         "sample_joint",
-        "satisfied_preferences",
         "validate_instance",
     ),
     "errors": (
@@ -85,7 +83,6 @@ _EXPORTS = {
     ),
     "oracle": ("project_simplex", "solve_min_loss"),
     "zeroloss": (
-        "base_case_interval",
         "base_case_three",
         "construct_zero_loss",
         "fill_row_col",

@@ -576,25 +576,9 @@ class JointSelectionMatrix:
         return pi_a, pi_b
 
 
-@dataclass(frozen=True)
-class SatisfiedPreferences:
-    """Marginals of a joint selection matrix: pi_a = row sums, pi_b = column sums."""
-
-    pi_a: Vec
-    pi_b: Vec
-
-
 # --------------------------------------------------------------------------
 # operations
 # --------------------------------------------------------------------------
-
-def satisfied_preferences(m: JointSelectionMatrix) -> SatisfiedPreferences:
-    """Row and column sums of the matrix: the preferences each player actually gets.
-
-    The arrays are the matrix's cached marginals and are read-only.
-    """
-    return SatisfiedPreferences(*m.marginals)
-
 
 def _check_dims(m: JointSelectionMatrix, inst: ProblemInstance) -> None:
     if m.n != inst.n:
@@ -635,18 +619,6 @@ def _gradient_terms(m: JointSelectionMatrix, inst: ProblemInstance) -> tuple[Vec
     _check_dims(m, inst)
     pi_a, pi_b = m.marginals
     return 2.0 * (pi_a - inst.a), 2.0 * (pi_b - inst.b)
-
-
-def loss_gradient(m: JointSelectionMatrix, inst: ProblemInstance) -> Mat:
-    """Gradient of the loss in the off-diagonal entries.
-
-    dL/dP[i, j] = 2 (pi_A(i) - A_i) + 2 (pi_B(j) - B_j) for i != j; the
-    diagonal is not a decision variable and is reported as 0.
-    """
-    ga, gb = _gradient_terms(m, inst)
-    g = ga[:, None] + gb[None, :]
-    np.fill_diagonal(g, 0.0)
-    return g
 
 
 def _guide_table(cdf: Vec) -> tuple[int, NDArray[np.intp], NDArray[np.bool_]]:

@@ -23,8 +23,8 @@ total 1 was proved on construction to sum to within 1e-9 of 1, with no
 negative entry. The exact primal residual, pinned bit for bit to the
 total in numpy's dense order, is computed only when a caller reads
 `KktCertificate.residuals`; that replays numpy's pairwise summation from
-the cells, in O(N) scratch and with no kept state. The dense lambda and
-the dense entries are likewise built only when read.
+the cells, in O(N) scratch and with no kept state. No dense lambda is
+formed, and the dense entries are built only when read.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
@@ -88,33 +88,23 @@ class KktResiduals:
 class KktCertificate:
     """Closed-form multipliers for the hot-arm matrix and their residuals.
 
-    epsilon = (S_max - 1)/(2(N-1)); mu = 2(N-2) epsilon multiplies the
-    total-sum constraint; lam[i, j] = 2N epsilon on off-diagonal entries
-    whose row and column both avoid arm ``hot`` (the entries pinned at
-    zero), 0 elsewhere. Stationarity, slackness and dual feasibility were
-    measured when the certificate was made; ``residuals`` adds the primal
-    residual on first read, which takes the matrix's dense-order total.
-    ``valid`` reads it only for a matrix whose declared total is not 1.
-    The dense N x N ``lam`` is built on first access. ``==`` and ``hash``
-    go by identity.
+    The multipliers are given by ``epsilon``, ``mu`` and ``hot``, with N =
+    ``matrix.n``: epsilon = (S_max - 1)/(2(N-1)); mu = 2(N-2) epsilon
+    multiplies the total-sum constraint; lam[i, j] = 2N epsilon on
+    off-diagonal entries whose row and column both avoid arm ``hot`` (the
+    entries pinned at zero), 0 elsewhere. Stationarity, slackness and dual
+    feasibility were measured when the certificate was made; ``residuals``
+    adds the primal residual on first read, which takes the matrix's
+    dense-order total. ``valid`` reads it only for a matrix whose declared
+    total is not 1. ``==`` and ``hash`` go by identity.
     """
 
     epsilon: float
     mu: float
-    n: int
     hot: int
     matrix: JointSelectionMatrix = field(repr=False)
     # The stationarity, slackness and dual residuals, in that order.
     _measured: tuple[float, float, float] = field(repr=False)
-
-    @cached_property
-    def lam(self) -> Mat:
-        lam = np.zeros((self.n, self.n))
-        cold = np.arange(self.n) != self.hot
-        lam[np.ix_(cold, cold)] = 2.0 * self.n * self.epsilon
-        np.fill_diagonal(lam, 0.0)
-        lam.setflags(write=False)
-        return lam
 
     @cached_property
     def residuals(self) -> KktResiduals:
@@ -250,8 +240,10 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     # holds zeros (its diagonal at least), so 0 starts the max.
     off_hot = (m.rows != hot) & (m.cols != hot)
     slackness = abs(lam_cold * float(m.vals.max(where=off_hot, initial=0.0)))
-    dual = max(0.0, -min(0.0, lam_cold))  # lam takes only the values 0 and lam_cold
-    return KktCertificate(eps, mu, n, hot, m, (stationarity, slackness, dual))
+    # lam takes only the values 0 and lam_cold, and lam_cold = 2N eps > 0 here,
+    # since this branch has S_max > 1 + 1e-9; so no multiplier is negative.
+    dual = 0.0
+    return KktCertificate(eps, mu, hot, m, (stationarity, slackness, dual))
 
 
 def loss_hessian(n: int) -> Mat:

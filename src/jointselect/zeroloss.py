@@ -103,15 +103,11 @@ def _require_feasible(s_max: float, total: float) -> None:
         )
 
 
-def base_case_interval(inst: ProblemInstance) -> tuple[float, float]:
-    """Feasible range of the free entry P[0, 1] in the three-arm solution."""
-    if inst.n != 3:
-        raise ValidationError(f"three-arm interval needs N=3, got {inst.n}")
-    return _interval(inst.a, inst.b, inst.total)
-
-
 def _interval(a, b, t: float) -> tuple[float, float]:
-    """base_case_interval on the three weights of each player."""
+    """The range of p = P[0, 1] over which the three-arm solution is nonnegative.
+
+    ``a`` and ``b`` are the three weights of each player and ``t`` their total.
+    """
     lo = max(0.0, a[0] - b[2], b[1] - a[2])
     hi = min(a[0], b[1], t - a[2] - b[2])
     return lo, hi
@@ -376,7 +372,6 @@ def construct_zero_loss(inst: ProblemInstance) -> JointSelectionMatrix:
 
 __all__ = [
     "RowColFill",
-    "base_case_interval",
     "base_case_three",
     "construct_zero_loss",
     "fill_row_col",

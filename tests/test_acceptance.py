@@ -13,7 +13,6 @@ import numpy as np
 from jointselect import (
     kkt_verify,
     loss,
-    loss_gradient,
     loss_hessian,
     min_loss_matrix,
     min_loss_value,
@@ -23,7 +22,6 @@ from jointselect import (
     random_order,
     run_benchmark,
     sample_joint,
-    satisfied_preferences,
     simultaneous_renormalization,
     solve_min_loss,
     solve_multi_min_loss,
@@ -31,6 +29,7 @@ from jointselect import (
     validate_instance,
     validate_multi,
 )
+from jointselect.core import _gradient_terms
 
 from conftest import (
     ORDER_TABLE1,
@@ -240,7 +239,10 @@ def test_criterion_09_convexity_and_gradient_checks():
         entries = np.zeros((n, n))
         entries[~np.eye(n, dtype=bool)] = raw
         m = JointSelectionMatrix(entries)
-        dev = np.abs(loss_gradient(m, inst) - fd_gradient(m.entries, inst.a, inst.b))
+        ga, gb = _gradient_terms(m, inst)
+        off = ~np.eye(n, dtype=bool)
+        g_fd = fd_gradient(m.entries, inst.a, inst.b)
+        dev = np.abs((ga[:, None] + gb[None, :])[off] - g_fd[off])
         grad_dev = max(grad_dev, float(dev.max()))
     elapsed = time.perf_counter() - t0
     ok = min_form >= -1e-9 and min_eig >= -1e-9 and grad_dev <= 1e-6 and elapsed < 10.0
@@ -304,13 +306,13 @@ def test_criterion_11_sampling_conflict_freedom_and_marginals(table1):
     for seed, m in enumerate(matrices, start=1):
         counts = sample_joint(m, seed=seed, draws=100_000)
         diag_hits += int(np.trace(counts))
-        sp = satisfied_preferences(m)
+        pi_a, pi_b = m.marginals
         freq_a = counts.sum(axis=1) / counts.sum()
         freq_b = counts.sum(axis=0) / counts.sum()
         worst_dev = max(
             worst_dev,
-            float(np.abs(freq_a - sp.pi_a).max()),
-            float(np.abs(freq_b - sp.pi_b).max()),
+            float(np.abs(freq_a - pi_a).max()),
+            float(np.abs(freq_b - pi_b).max()),
         )
     elapsed = time.perf_counter() - t0
     ok = diag_hits == 0 and worst_dev <= 0.02 and elapsed < 5.0

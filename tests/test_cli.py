@@ -709,6 +709,30 @@ def test_a_popularity_past_the_float_range_prints_one_json_object():
     assert json.loads(proc.stderr)["error"] == "total-not-one"
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        (["construct"], {"a": [0.5, 0.5], "b": [0.5, 0.5], "total": -1},
+         "total must be nonnegative, got -1.0"),
+        (SAMPLE_10, [0, 0.5, 0.5, 0], "matrix input must be a JSON object"),
+        (["feasibility"], {"players": [0.5, 0.5]},
+         "multi-player weights must be M x N, got shape (2,)"),
+        (["feasibility"], {"players": [[1.0], [1.0]]}, "need at least 2 arms, got 1"),
+        (["bench", "--n-min", "10", "--n-max", "5"], None, "--n-max must be >= --n-min"),
+        (["verify", "--kkt"], None, "--kkt and --oracle need an input preference file"),
+    ],
+    ids=["negative-total", "matrix-array", "players-1d", "one-arm", "bench-range",
+         "kkt-no-input"],
+)
+def test_an_input_error_exits_two_with_its_message(capsys, tmp_path, command, payload, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    inputs = [] if payload is None else [str(path)]
+    code, out, err = run(capsys, command[0], *inputs, *command[1:])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "validation", "message": message}
+
+
 # --------------------------------------------------------------------------
 # feasibility
 # --------------------------------------------------------------------------

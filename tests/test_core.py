@@ -25,7 +25,6 @@ from jointselect import (
     instance_to_json,
     kkt_verify,
     loss,
-    loss_gradient,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
@@ -33,7 +32,6 @@ from jointselect import (
     min_loss_value,
     optimal_satisfaction_matrix,
     sample_joint,
-    satisfied_preferences,
     uniform_random,
     validate_instance,
     validate_multi,
@@ -468,21 +466,21 @@ def test_array_holding_types_compare_by_identity():
 # marginals, loss, gradient
 # --------------------------------------------------------------------------
 
-def test_satisfied_preferences_uniform():
-    sp = satisfied_preferences(uniform_random(3))
-    np.testing.assert_allclose(sp.pi_a, 1.0 / 3.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sp.pi_b, 1.0 / 3.0, rtol=0, atol=1e-15)
+def test_marginals_uniform():
+    pi_a, pi_b = uniform_random(3).marginals
+    np.testing.assert_allclose(pi_a, 1.0 / 3.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pi_b, 1.0 / 3.0, rtol=0, atol=1e-15)
 
 
-def test_satisfied_preferences_are_read_only_and_computed_once():
+def test_marginals_are_read_only_and_computed_once():
     m = uniform_random(4)
-    sp = satisfied_preferences(m)
-    for pi in (sp.pi_a, sp.pi_b):
+    pi_a, pi_b = m.marginals
+    for pi in (pi_a, pi_b):
         assert not pi.flags.writeable
         with pytest.raises(ValueError):
             pi[0] = 0.0
-    again = satisfied_preferences(m)
-    assert again.pi_a is sp.pi_a and again.pi_b is sp.pi_b
+    again_a, again_b = m.marginals
+    assert again_a is pi_a and again_b is pi_b
 
 
 def test_loss_after_kkt_verify_matches_a_fresh_matrix_bit_for_bit():
@@ -530,32 +528,33 @@ def test_loss_brackets_worst_marginal_gap(raw, raw_a, raw_b):
     entries /= entries.sum()
     m = JointSelectionMatrix(entries)
     inst = validate_instance(raw_a / raw_a.sum(), raw_b / raw_b.sum())
-    sp = satisfied_preferences(m)
+    pi_a, pi_b = m.marginals
     gap = max(
-        float(np.abs(sp.pi_a - inst.a).max()), float(np.abs(sp.pi_b - inst.b).max())
+        float(np.abs(pi_a - inst.a).max()), float(np.abs(pi_b - inst.b).max())
     )
     value = loss(m, inst)
     assert value >= gap**2 - 1e-15
     assert value <= 2 * inst.n * gap**2 + 1e-15
 
 
+def gradient_off_diagonal(m, inst):
+    """dL/dP[i, j] = ga[i] + gb[j] from core._gradient_terms, at i != j."""
+    ga, gb = core._gradient_terms(m, inst)
+    return (ga[:, None] + gb[None, :])[~np.eye(inst.n, dtype=bool)]
+
+
 def test_gradient_formula_and_zero_at_match(table1):
     m = uniform_random(3)
-    g = loss_gradient(m, table1)
-    sp = satisfied_preferences(m)
+    ga, gb = core._gradient_terms(m, table1)
+    pi_a, pi_b = m.marginals
     for i in range(3):
-        for j in range(3):
-            expect = (
-                0.0
-                if i == j
-                else 2 * (sp.pi_a[i] - table1.a[i]) + 2 * (sp.pi_b[j] - table1.b[j])
-            )
-            assert g[i, j] == pytest.approx(expect, abs=1e-15)
+        assert ga[i] == pytest.approx(2 * (pi_a[i] - table1.a[i]), abs=1e-15)
+        assert gb[i] == pytest.approx(2 * (pi_b[i] - table1.b[i]), abs=1e-15)
 
     exact = JointSelectionMatrix(
         np.array([[0.0, 0.0, 0.3], [0.25, 0.0, 0.0], [0.25, 0.2, 0.0]])
     )
-    np.testing.assert_allclose(loss_gradient(exact, table1), 0.0, atol=1e-15)
+    np.testing.assert_allclose(gradient_off_diagonal(exact, table1), 0.0, atol=1e-15)
 
 
 def test_gradient_matches_finite_differences():
@@ -566,8 +565,8 @@ def test_gradient_matches_finite_differences():
         entries = np.zeros((n, n))
         entries[~np.eye(n, dtype=bool)] = raw
         m = JointSelectionMatrix(entries)
-        g = loss_gradient(m, inst)
-        g_fd = fd_gradient(m.entries, inst.a, inst.b)
+        g = gradient_off_diagonal(m, inst)
+        g_fd = fd_gradient(m.entries, inst.a, inst.b)[~np.eye(n, dtype=bool)]
         np.testing.assert_allclose(g, g_fd, rtol=0, atol=1e-6)
 
 

@@ -18,6 +18,7 @@ import pytest
 import jointselect
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 PUBLIC_NAMES = [
     "BenchmarkRecord",
@@ -42,7 +43,6 @@ PUBLIC_NAMES = [
     "TotalMismatchError",
     "TotalNotOneError",
     "ValidationError",
-    "base_case_interval",
     "base_case_three",
     "construct_zero_loss",
     "convexity_check",
@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "instance_to_json",
     "kkt_verify",
     "loss",
-    "loss_gradient",
     "loss_hessian",
     "matrix_from_json",
     "matrix_to_csv",
@@ -68,7 +67,6 @@ PUBLIC_NAMES = [
     "reduce_instance",
     "run_benchmark",
     "sample_joint",
-    "satisfied_preferences",
     "simultaneous_renormalization",
     "solve_min_loss",
     "solve_multi_min_loss",
@@ -93,9 +91,9 @@ def fresh_python(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_all_lists_the_fifty_nine_public_names():
+def test_all_lists_the_fifty_six_public_names():
     assert sorted(jointselect.__all__) == PUBLIC_NAMES
-    assert len(set(jointselect.__all__)) == 59
+    assert len(set(jointselect.__all__)) == 56
 
 
 def test_every_public_name_resolves_to_its_definition():
@@ -137,3 +135,10 @@ def test_cli_leaves_bench_baselines_and_multiplayer_unloaded():
         "'jointselect.multiplayer') if m in sys.modules))"
     )
     assert loaded == "[]"
+
+
+def test_readme_library_quick_start_runs():
+    # The block imports public names and asserts that no draw is a conflict.
+    section = README.read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})

@@ -14,13 +14,11 @@ from jointselect import (
     PopularityExceedsTotalError,
     TotalMismatchError,
     ValidationError,
-    base_case_interval,
     base_case_three,
     construct_zero_loss,
     fill_row_col,
     loss,
     reduce_instance,
-    satisfied_preferences,
     validate_instance,
 )
 
@@ -69,9 +67,9 @@ def test_base_case_three_table1(table1):
     m = base_case_three(table1)
     expected = np.array([[0.0, 0.0, 0.3], [0.25, 0.0, 0.0], [0.25, 0.2, 0.0]])
     np.testing.assert_allclose(m.entries, expected, rtol=0, atol=1e-15)
-    sp = satisfied_preferences(m)
-    np.testing.assert_allclose(sp.pi_a, table1.a, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(sp.pi_b, table1.b, rtol=0, atol=1e-15)
+    pi_a, pi_b = m.marginals
+    np.testing.assert_allclose(pi_a, table1.a, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(pi_b, table1.b, rtol=0, atol=1e-15)
 
 
 def test_base_case_three_uniform_sub_total():
@@ -81,17 +79,17 @@ def test_base_case_three_uniform_sub_total():
     np.testing.assert_allclose(m.entries, expected, rtol=0, atol=1e-15)
 
 
-def test_base_case_interval_table1(table1):
-    lo, hi = base_case_interval(table1)
+def test_three_arm_interval_table1(table1):
+    lo, hi = zeroloss._interval(table1.a, table1.b, table1.total)
     assert lo == 0.0
     assert hi == pytest.approx(0.2, abs=1e-15)
 
 
-def test_base_case_interval_is_nonempty_when_feasible():
+def test_three_arm_interval_is_nonempty_when_feasible():
     rng = np.random.default_rng(21)
     for _ in range(500):
         inst = random_feasible_instance(rng, 3)
-        lo, hi = base_case_interval(inst)
+        lo, hi = zeroloss._interval(inst.a, inst.b, inst.total)
         assert lo <= hi + 1e-12
 
 
