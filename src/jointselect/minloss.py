@@ -188,13 +188,20 @@ def min_loss_matrix(inst: ProblemInstance) -> JointSelectionMatrix:
 
 
 def _extremes(v: Vec, skip: int) -> list[int]:
-    """Positions of v but ``skip`` that hold the two smallest and the two
-    largest entries off ``skip``, and perhaps one or two more: those of the
-    three smallest and three largest entries of v (all of v if short)."""
-    picks = range(v.size)
-    if v.size > 6:
-        picks = np.argpartition(v, (2, v.size - 3))[[0, 1, 2, -3, -2, -1]].tolist()
-    return [i for i in picks if i != skip]
+    """Positions of the two largest and the two smallest entries of v off
+    ``skip``, by arg-reductions on one copy: argmax with ``skip`` masked by
+    -inf, then again with that pick masked too; then, with that pick
+    restored and ``skip`` masked by +inf, the same by argmin. Positions may
+    repeat, and with one entry off ``skip`` each second pick is any position."""
+    w = v.copy()
+    w[skip] = -np.inf
+    top = int(w.argmax())
+    w[top] = -np.inf
+    second = int(w.argmax())
+    w[top], w[skip] = v[top], np.inf
+    low = int(w.argmin())
+    w[low] = np.inf
+    return [top, second, low, int(w.argmin())]
 
 
 def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate:
@@ -209,9 +216,12 @@ def kkt_verify(inst: ProblemInstance, m: JointSelectionMatrix) -> KktCertificate
     constant on each block (hot row, hot column, cold x cold), and float
     rounding is monotone, so each block's largest stationarity term sits
     at an extreme pair: the two largest or two smallest ga and gb over its
-    rows and columns, i != j. A few more pairs are taken in, which leaves
-    the max as it is. Slackness needs only the largest cell off the hot
-    row and column. Each term is computed with the same float operations
+    rows and columns, i != j. `_extremes` finds them off the hot arm by
+    argmax and argmin, each pick masked for the next, with no partition or
+    sort; with the hot arm that makes five candidates a side. Any repeated
+    or extra pair is a term of the dense form too, which leaves the max as
+    it is. Slackness needs only the largest cell off the hot row and
+    column. Each term is computed with the same float operations
     as the dense form, so the residuals equal it bit for bit.
     The marginals are the matrix's own, taken once. The primal residual
     reads the matrix's dense-order total, and is computed on the first

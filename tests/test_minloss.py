@@ -41,14 +41,20 @@ def geometric_instance(n: int):
     return validate_instance(w, w)
 
 
-def hot_arm_instance(rng: np.random.Generator, n: int):
-    """One hot arm at a random index with S_hot in (1, 1.9], built directly
-    (rejection sampling for S_max > 1 stalls at large N)."""
-    h = int(rng.integers(n))
+def hot_arm_instance(rng: np.random.Generator, n: int, hot: int | None = None,
+                     tied: bool = False):
+    """One hot arm at index ``hot`` (random if None) with S_hot in (1, 1.9],
+    built directly (rejection sampling for S_max > 1 stalls at large N).
+    With ``tied``, each player gives every cold arm the same weight."""
+    h = int(rng.integers(n)) if hot is None else hot
     s_hot = 1.9 - 0.9 * rng.random() + 1e-8
     x = rng.uniform(s_hot - 1.0, 1.0)
-    a = np.insert((1.0 - x) * rng.dirichlet(np.ones(n - 1)), h, x)
-    b = np.insert((1.0 - (s_hot - x)) * rng.dirichlet(np.ones(n - 1)), h, s_hot - x)
+
+    def cold():
+        return np.full(n - 1, 1.0 / (n - 1)) if tied else rng.dirichlet(np.ones(n - 1))
+
+    a = np.insert((1.0 - x) * cold(), h, x)
+    b = np.insert((1.0 - (s_hot - x)) * cold(), h, s_hot - x)
     return validate_instance(a, b)
 
 
@@ -262,25 +268,46 @@ def test_the_dispatch_reads_the_total_that_the_zero_loss_branch_reads():
 def kkt_case(n: int, seed: int, kind: str):
     """A hot instance and a matrix to certify against it."""
     rng = np.random.default_rng(seed)
+    if kind == "tied-cold":
+        # Equal cold weights: on the hot-arm matrix (even seed // 2) and on
+        # the uniform one, every cold entry of ga, and of gb, is the same
+        # float, so argmax and argmin pick the first of N - 1 ties. The hot
+        # arm sits at an end: index 0 for even seeds, N - 1 for odd ones.
+        inst = hot_arm_instance(rng, n, hot=(0, n - 1)[seed % 2], tied=True)
+        return inst, min_loss_matrix(inst) if seed // 2 % 2 == 0 else uniform_random(n)
     inst = hot_arm_instance(rng, n)
     hot = int(np.argmax(inst.popularity))
     if kind == "hot-arm":
         return inst, min_loss_matrix(inst)
     if kind == "uniform":
         return inst, uniform_random(n)
-    if kind == "shared-peak":
-        # The hot-arm matrix of a second instance with the same hot weights
-        # and cold weights pulled toward one shared arm p. Both gradient
-        # parts then peak at p, so the largest cold x cold term pairs p with
-        # a runner-up, and it usually sets the stationarity residual (as at
-        # n=6, seed=5 below); only the top-2 candidates find it.
+    if kind in ("shared-peak", "shared-trough"):
+        # The hot-arm matrix of a second instance with the same hot weights.
+        # Peak: its cold weights are pulled toward one shared arm p. Both
+        # gradient parts then peak at p, so the largest cold x cold term
+        # pairs p with a runner-up, and it usually sets the stationarity
+        # residual (as at n=6, seed=5 below); only the top-2 candidates find
+        # it. Trough: p is drained to a thousandth and a second cold arm q
+        # to a half, their mass going to the other cold arms. Both parts
+        # then bottom out at p with q next, so the most negative cold x cold
+        # term pairs p with q. A term of the hot row or column holds one
+        # part alone, so this pair often sets the residual (as at n=7,
+        # seed=2 below); only the bottom-2 candidates find it.
         cold = np.arange(n) != hot
         p = int(rng.choice(np.flatnonzero(cold)))
         pull = rng.random()
+        q = p  # the one cold arm at n = 2
+        if kind == "shared-trough" and n > 2:
+            q = int(rng.choice(np.flatnonzero(cold & (np.arange(n) != p))))
 
         def shifted(w):
-            target = rng.dirichlet(np.ones(n)) * cold
-            target[p] += 1.0
+            if kind == "shared-peak":
+                target = rng.dirichlet(np.ones(n)) * cold
+                target[p] += 1.0
+            else:
+                target = w * cold
+                target[q] *= 0.5
+                target[p] *= 1e-3
             out = w.copy()
             out[cold] = (1.0 - pull) * w[cold] + pull * target[cold] * (w[cold].sum() / target.sum())
             return out
@@ -297,7 +324,8 @@ def kkt_case(n: int, seed: int, kind: str):
     return inst, JointSelectionMatrix(entries / entries.sum())
 
 
-KKT_KINDS = ("hot-arm", "shared-peak", "perturbed", "random", "uniform")
+KKT_KINDS = ("hot-arm", "shared-peak", "shared-trough", "perturbed", "random", "uniform",
+             "tied-cold")
 
 
 @settings(max_examples=300, deadline=None)
@@ -312,6 +340,23 @@ KKT_KINDS = ("hot-arm", "shared-peak", "perturbed", "random", "uniform")
 @example(n=2, seed=3, kind="uniform")
 @example(n=2, seed=4, kind="shared-peak")
 @example(n=6, seed=5, kind="shared-peak")
+# N = 7 is the first size past the old partition's cutoff (v.size > 6);
+# N = 1024 is the benchmark's. Tied-cold seeds 0 to 3 put the hot arm at
+# 0, N - 1, 0, N - 1, on the hot-arm, hot-arm, uniform, uniform matrix.
+@example(n=7, seed=0, kind="tied-cold")
+@example(n=7, seed=1, kind="tied-cold")
+@example(n=7, seed=2, kind="tied-cold")
+@example(n=7, seed=3, kind="tied-cold")
+@example(n=7, seed=5, kind="shared-peak")
+@example(n=7, seed=2, kind="shared-trough")
+@example(n=7, seed=6, kind="perturbed")
+@example(n=1024, seed=0, kind="tied-cold")
+@example(n=1024, seed=1, kind="tied-cold")
+@example(n=1024, seed=2, kind="tied-cold")
+@example(n=1024, seed=3, kind="tied-cold")
+@example(n=1024, seed=7, kind="hot-arm")
+@example(n=1024, seed=8, kind="shared-peak")
+@example(n=1024, seed=9, kind="shared-trough")
 def test_kkt_verify_matches_dense_reference_exactly(n, seed, kind):
     inst, m = kkt_case(n, seed, kind)
     cert = kkt_verify(inst, m)
@@ -460,6 +505,27 @@ def test_hot_arm_verdict_needs_no_dense_order_total(monkeypatch):
         assert result.certificate.valid
     _, _, residuals = dense_kkt_reference(inst, result.matrix)
     assert result.certificate.residuals == residuals
+
+
+@pytest.mark.parametrize("hot", [0, 1023])
+def test_hot_arm_certificate_partitions_and_sorts_nothing(monkeypatch, hot):
+    # The extreme gradients come from argmax and argmin; a partition or a
+    # sort of N values must not come back. The hot arm sits at either end.
+    n = 1024
+    inst = hot_arm_instance(np.random.default_rng(31), n, hot=hot)
+    m = min_loss_matrix(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate partitioned or sorted")
+
+    with monkeypatch.context() as patch:
+        for name in ("argpartition", "partition", "argsort", "sort"):
+            patch.setattr(np, name, refuse)
+        cert = kkt_verify(inst, m)
+        assert cert.valid
+    assert cert.hot == hot
+    _, _, residuals = dense_kkt_reference(inst, m)
+    assert cert.residuals == residuals
 
 
 def traced_hot_arm_peak(n: int) -> int:
