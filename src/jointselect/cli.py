@@ -251,7 +251,7 @@ def cmd_verify(args) -> int:
         n = args.n if args.n is not None else (inst.n if inst is not None else None)
         if n is None:
             raise ValidationError("--convexity needs --n (or an input to take N from)")
-        sections["convexity"] = asdict(convexity_check(n, args.trials, args.seed))
+        sections["convexity"] = asdict(convexity_check(n))
     return _write(args, sections)
 
 
@@ -342,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --kkt: verify this matrix JSON instead of the built one")
     p.add_argument("--tol", type=float, default=1e-10, help="oracle tolerance")
     p.add_argument("--n", type=int, default=None, help="dimension for --convexity")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -104,6 +104,9 @@ def test_run_benchmark_records_per_cell_errors(monkeypatch):
     assert bad.loss is None
     assert bad.error == "DegenerateProductError"
     assert by_method["uniform"].error is None
+    # An unknown method is a per-cell error too, not a crash of the sweep.
+    [unknown] = run_benchmark(families=("i",), n_values=(3,), methods=("nope",))
+    assert (unknown.loss, unknown.error) == (None, "ValidationError")
 
 
 # --------------------------------------------------------------------------

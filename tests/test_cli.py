@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,7 @@ HOT_A = [0.1, 0.1, 0.8]
 HOT_B = [0.0, 0.2, 0.8]
 GEO_A = [1 / 13, 3 / 13, 9 / 13]
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+README = Path(SRC).parent / "README.md"
 
 
 @pytest.fixture
@@ -450,11 +452,23 @@ def test_verify_convexity_needs_dimension(capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-1", "100001", "99999999999999999999"])
 def test_verify_convexity_needs_a_trial(capsys, trials):
-    # Too many trials once exited 3: numpy refused the array of draws.
-    code, out, err = run(capsys, "verify", "--convexity", "--n", "3", "--trials", trials)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "validation"
+    # Too many trials once exited 3: numpy refused the array of draws. The
+    # check now draws nothing, so --trials of any value is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--convexity", "--n", "3", "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials" in captured.err
+
+
+@pytest.mark.parametrize("option", ["--seed"])
+def test_verify_has_no_sampling_option(capsys, option):
+    # convexity_check decides by the exact eigenvalue floor; it draws nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--convexity", "--n", "3", option, "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # --------------------------------------------------------------------------
@@ -566,9 +580,8 @@ def test_a_negative_zero_entry_samples_as_a_zero(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv, seed",
-    [(["sample", "{matrix}", "--seed", "-5", "--draws", "3"], -5),
-     (["verify", "--convexity", "--n", "3", "--seed", "-1"], -1)],
-    ids=["sample", "verify-convexity"],
+    [(["sample", "{matrix}", "--seed", "-5", "--draws", "3"], -5)],
+    ids=["sample"],
 )
 def test_a_negative_seed_exits_two(capsys, table1_file, tmp_path, argv, seed):
     # numpy's generators take no negative seed; its ValueError once exited 3.
@@ -849,7 +862,7 @@ WRITER_ARGV = {
     "construct": ["construct", "{table1}"],
     "baseline": ["baseline", "{table1}", "--method", "order"],
     "bench": ["bench", "--families", "iv", "--methods", "optimal,uniform", "--n-max", "4"],
-    "verify": ["verify", "{hot}", "--kkt", "--convexity", "--trials", "20"],
+    "verify": ["verify", "{hot}", "--kkt", "--convexity"],
     "sample": ["sample", "{matrix}", "--seed", "1", "--draws", "100"],
     "feasibility": ["feasibility", "{players}"],
 }
@@ -957,6 +970,27 @@ def test_subcommand_is_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_readme_cli_quick_start_parses():
+    # Every jointselect command of the README's shell block, with its
+    # continuations joined, the part after a pipe kept and `> file` dropped.
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        words = shlex.split(line.split("|")[-1])
+        if ">" in words:
+            words = words[:words.index(">")]
+        assert words[0] == "jointselect", line
+        commands.append(words[1:])
+    assert {argv[0] for argv in commands} == {
+        "construct", "baseline", "bench", "verify", "sample", "feasibility"}
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 # --------------------------------------------------------------------------

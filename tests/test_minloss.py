@@ -28,7 +28,7 @@ from jointselect import (
 )
 from jointselect.errors import DimensionTooLargeError
 from jointselect import core
-from jointselect.minloss import CONVEXITY_MAX_TRIALS, RESIDUAL_TOL, KktResiduals
+from jointselect.minloss import RESIDUAL_TOL, KktResiduals
 
 from conftest import random_feasible_instance, random_hot_instance
 
@@ -577,17 +577,15 @@ def test_hessian_quadratic_forms_from_worked_directions():
 
 
 def test_convexity_check_all_desk_sizes():
-    for n in range(3, 9):
-        report = convexity_check(n, trials=400, seed=n)
+    # The report carries the Hessian's exact eigenvalue floor at every N:
+    # 4 at N = 2, and 0 up to rounding for N >= 3, where H is singular.
+    for n in range(2, 9):
+        report = convexity_check(n)
         assert report.passed
+        assert report.n == n
         assert report.dimension == n * n - n
-        assert report.trials == 400
-        assert report.min_quadratic_form >= -1e-9
-        if n <= 6:
-            assert report.min_eigenvalue is not None
-            assert report.min_eigenvalue >= -1e-9
-        else:
-            assert report.min_eigenvalue is None
+        assert report.min_eigenvalue == float(np.linalg.eigvalsh(loss_hessian(n)).min())
+    assert convexity_check(2).min_eigenvalue == pytest.approx(4.0)
 
 
 def test_convexity_check_bounds():
@@ -595,14 +593,13 @@ def test_convexity_check_bounds():
         convexity_check(9)
     with pytest.raises(ValidationError):
         convexity_check(1)
-    assert convexity_check(3, trials=CONVEXITY_MAX_TRIALS).passed
-    with pytest.raises(ValidationError, match=f"trials must be <= {CONVEXITY_MAX_TRIALS}"):
-        convexity_check(3, trials=CONVEXITY_MAX_TRIALS + 1)
 
 
-def test_convexity_check_rejects_a_negative_seed():
-    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-        convexity_check(3, seed=-1)
+@pytest.mark.parametrize("knob", ["trials", "seed"])
+def test_convexity_check_takes_no_sampling_knob(knob):
+    # The check is exact: no random forms, so nothing to count or seed.
+    with pytest.raises(TypeError):
+        convexity_check(3, **{knob: 5})
 
 
 # --------------------------------------------------------------------------

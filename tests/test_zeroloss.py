@@ -306,6 +306,16 @@ def test_reduce_drops_a_zero_preference_arm():
     assert reduced.total == 1.0
 
 
+def test_reduce_rejects_a_fill_that_leaves_an_arm_too_popular():
+    # This fill takes both of arm 0's weights from arm 2 alone: the reduced
+    # weights still sum to 0.8 each, but arm 1 keeps S = 0.9 against that total.
+    inst = validate_instance([0.1, 0.45, 0.225, 0.225], [0.1, 0.45, 0.225, 0.225])
+    fill = zeroloss.RowColFill(0, np.array([0, 0, 0.1, 0]), np.array([0, 0, 0.1, 0]), 1)
+    with pytest.raises(InternalInvariantError,
+                       match="reduction produced an arm more popular than the reduced total"):
+        reduce_instance(inst, fill)
+
+
 # --------------------------------------------------------------------------
 # full construction
 # --------------------------------------------------------------------------
