@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 from .baselines import random_order, simultaneous_renormalization, uniform_random
 from .core import ProblemInstance, loss, validate_instance
-from .errors import InvalidArmCountError, JointSelectError, ValidationError
+from .errors import InvalidArmCountError, ValidationError
 from .minloss import optimal_satisfaction_matrix
 
 FAMILIES = ("i", "ii", "iii", "iv")
@@ -43,8 +43,7 @@ class BenchmarkRecord:
     family: str
     n: int
     method: str
-    loss: float | None
-    error: str | None = None
+    loss: float
 
 
 def _family_numerators(family: str, n: int) -> tuple[list[int], int]:
@@ -84,38 +83,31 @@ def run_benchmark(
     n_values: Iterable[int] = FULL_RANGE,
     methods: Iterable[str] = METHODS,
 ) -> list[BenchmarkRecord]:
-    """Loss for every (family, N, method) cell, sorted; per-cell errors are
-    recorded rather than aborting the sweep (a sweep is a report)."""
+    """Loss for every (family, N, method) cell, sorted. A cell that fails
+    raises its error, which ends the sweep."""
     records = []
     for family in families:
         for n in n_values:
             inst = preference_family(family, n)
             for method in methods:
-                try:
-                    records.append(BenchmarkRecord(family, n, method, _method_loss(inst, method)))
-                except JointSelectError as exc:
-                    records.append(
-                        BenchmarkRecord(family, n, method, None, type(exc).__name__)
-                    )
+                records.append(BenchmarkRecord(family, n, method, _method_loss(inst, method)))
     records.sort(key=lambda r: (r.family, r.n, r.method))
     return records
 
 
 def write_csv(records: Sequence[BenchmarkRecord], out: IO[str]) -> None:
     """family,N,method,loss rows; losses at 17 significant digits so the
-    file round-trips bit-exactly; error cells carry error:<kind> markers."""
+    file round-trips bit-exactly."""
     out.write(CSV_HEADER + "\n")
     for r in records:
-        cell = f"{r.loss:.17g}" if r.error is None else f"error:{r.error}"
-        out.write(f"{r.family},{r.n},{r.method},{cell}\n")
+        out.write(f"{r.family},{r.n},{r.method},{r.loss:.17g}\n")
 
 
 def summary_table(records: Sequence[BenchmarkRecord], out: IO[str] = sys.stderr) -> None:
     """Min/max loss per (family, method) panel, for eyeballing a sweep."""
     panels: dict[tuple[str, str], list[float]] = {}
     for r in records:
-        if r.error is None:
-            panels.setdefault((r.family, r.method), []).append(r.loss)
+        panels.setdefault((r.family, r.method), []).append(r.loss)
     out.write(f"{'family':<8}{'method':<10}{'min loss':>14}{'max loss':>14}\n")
     for (family, method), losses in sorted(panels.items()):
         out.write(f"{family:<8}{method:<10}{min(losses):>14.6g}{max(losses):>14.6g}\n")

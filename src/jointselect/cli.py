@@ -209,8 +209,7 @@ def cmd_bench(args) -> int:
     if n_max > MAX_N:
         raise ValidationError(f"--n-max must be <= {MAX_N}, got {n_max}")
     records = run_benchmark(families, range(n_min, n_max + 1), methods)
-    rows = [{"family": r.family, "N": r.n, "method": r.method, "loss": r.loss, "error": r.error}
-            for r in records]
+    rows = [{"family": r.family, "N": r.n, "method": r.method, "loss": r.loss} for r in records]
     _write(args, {"records": rows}, lambda fh: write_csv(records, fh))
     summary_table(records, sys.stderr)
     return 0

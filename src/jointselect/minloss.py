@@ -28,7 +28,8 @@ formed, and the dense entries are built only when read.
 
 `optimal_satisfaction_matrix` is the top-level dispatch: exact zero-loss
 construction when max S <= 1 (+1e-9), the hot-arm matrix with its KKT
-certificate otherwise. That bound is one decision,
+certificate otherwise. Either answer is checked before it is returned,
+and a failed check raises InternalInvariantError. That bound is one decision,
 `core._zero_loss_reachable`, which `min_loss_value`, `min_loss_matrix`
 and `kkt_verify` read too, on the instance's own most popular arm
 (`_hot`), so each of them either applies or leaves the input to the
@@ -58,6 +59,7 @@ from .core import (
 )
 from .errors import (
     DimensionTooLargeError,
+    InternalInvariantError,
     NotApplicableError,
     ValidationError,
 )
@@ -284,7 +286,8 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
 
     max S <= 1 (+1e-9): zero-loss construction, no certificate.
     max S  > 1: hot-arm matrix with its KKT certificate; achieved loss
-    equals N/(2(N-1)) (S_max-1)^2 to float accuracy.
+    equals N/(2(N-1)) (S_max-1)^2 to float accuracy. A certificate that
+    fails raises InternalInvariantError, as a zero-loss marginal miss does.
     """
     _, s_max = _hot(inst, "optimal satisfaction matrix")
     if _zero_loss_reachable(s_max, inst.total):
@@ -292,6 +295,10 @@ def optimal_satisfaction_matrix(inst: ProblemInstance) -> OptimalResult:
         return OptimalResult(m, loss(m, inst), None, "zero-loss")
     m = min_loss_matrix(inst)
     cert = kkt_verify(inst, m)
+    if not cert.valid:
+        raise InternalInvariantError(
+            f"hot-arm KKT certificate fails: largest residual {cert.residuals.max():.3e}"
+        )
     return OptimalResult(m, loss(m, inst), cert, "min-loss")
 
 

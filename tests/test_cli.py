@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,9 +17,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import jointselect.bench as bench
 import jointselect.cli as cli
 import jointselect.minloss as minloss
 from jointselect import (
+    DegenerateProductError,
     InternalInvariantError,
     loss,
     matrix_from_json,
@@ -182,6 +185,18 @@ def test_internal_invariant_failure_exits_three(capsys, table1_file, monkeypatch
     assert stderr_error(err)["error"] == "internal-invariant"
 
 
+def test_construct_with_a_failed_certificate_exits_three(capsys, hot_file, monkeypatch):
+    # A min-loss answer whose KKT certificate fails is not printed.
+    real = minloss.kkt_verify
+    monkeypatch.setattr(
+        minloss, "kkt_verify",
+        lambda inst, m: dataclasses.replace(real(inst, m), _measured=(1.0, 0.0, 0.0)),
+    )
+    code, out, err = run(capsys, "construct", hot_file)
+    assert (code, out) == (3, "")
+    assert stderr_error(err)["error"] == "internal-invariant"
+
+
 # Weights with 9 decimals whose sums miss 1 by up to 1e-9: accepted by
 # validation, so they must build. The second is a hot-arm instance.
 NEAR_TOTAL = [
@@ -322,7 +337,7 @@ def test_bench_json_records(capsys):
     assert code == 0
     records = json.loads(out)["records"]
     assert [r["N"] for r in records] == [3, 4]
-    assert all(r["error"] is None for r in records)
+    assert all(r.keys() == {"family", "N", "method", "loss"} for r in records)
 
 
 def test_bench_rejects_unknown_family(capsys):
@@ -356,6 +371,22 @@ def test_bench_bounds_its_largest_n(capsys):
                        "--families", "i", "--methods", "uniform")
     assert code == 0
     assert out.splitlines()[1].startswith(f"i,{MAX_N},uniform,")
+
+
+@pytest.mark.parametrize("target, error, code, kind", [
+    ("random_order", InternalInvariantError, 3, "internal-invariant"),
+    ("simultaneous_renormalization", DegenerateProductError, 2, "degenerate-product"),
+])
+def test_bench_cell_that_fails_ends_the_sweep(capsys, monkeypatch, target, error, code, kind):
+    # A failing cell is no CSV row: its error ends the sweep with that
+    # error's exit code, and nothing reaches stdout.
+    def explode(inst):
+        raise error("forced for the exit-code test")
+
+    monkeypatch.setattr(bench, target, explode)
+    got, out, err = run(capsys, "bench", "--families", "i", "--n-max", "3")
+    assert (got, out) == (code, "")
+    assert stderr_error(err) == {"error": kind, "message": "forced for the exit-code test"}
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointselect import (
+    InternalInvariantError,
     JointSelectionMatrix,
     NotApplicableError,
     TotalNotOneError,
@@ -28,6 +30,7 @@ from jointselect import (
 )
 from jointselect.errors import DimensionTooLargeError
 from jointselect import core
+import jointselect.minloss as minloss
 from jointselect.minloss import RESIDUAL_TOL, KktResiduals
 
 from conftest import random_feasible_instance, random_hot_instance
@@ -619,6 +622,18 @@ def test_dispatch_hot_instance_takes_min_loss_branch():
     assert result.certificate is not None
     assert result.certificate.valid
     assert result.loss == pytest.approx(75.0 / 676.0, rel=1e-12)
+
+
+def test_dispatch_raises_when_the_certificate_fails(monkeypatch):
+    # A failed certificate is an invariant failure, as a zero-loss
+    # marginal miss is; the message names the largest residual.
+    real = minloss.kkt_verify
+    monkeypatch.setattr(
+        minloss, "kkt_verify",
+        lambda inst, m: dataclasses.replace(real(inst, m), _measured=(1.0, 0.0, 0.0)),
+    )
+    with pytest.raises(InternalInvariantError, match="largest residual 1.000e[+]00"):
+        optimal_satisfaction_matrix(geometric_instance(3))
 
 
 def test_dispatch_boundary_goes_zero_loss():
