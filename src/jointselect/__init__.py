@@ -10,7 +10,11 @@ independent convex-QP oracle, a benchmark sweep, and a CLI round it out.
 
 Names load on first use (PEP 562): ``import jointselect`` imports no
 submodule, and reading ``jointselect.min_loss_matrix`` first imports
-``minloss``. So a command-line process loads only what its command uses.
+``minloss``. A command-line process loads ``core``, ``errors``,
+``minloss``, ``oracle`` and ``zeroloss`` for every command, since ``cli``
+binds the library names it calls at import (the benchmark's tracer rebinds
+them there); only ``baselines``, ``bench`` and ``multiplayer`` load with
+the commands that use them.
 """
 
 from importlib import import_module

@@ -5,18 +5,26 @@ Every command reads stdin when the input path is "-", supports
 --format {json,csv}, and writes to --out (default stdout). Exit codes:
 0 success, 1 infeasible-as-requested, 2 input error (with machine-readable
 error JSON on stderr), 3 internal invariant failure or any other crash
-(error kind "internal"); no traceback is printed.
+(error kind "internal"); no traceback is printed. A closed or failing
+stdout is an input/output error (kind "io"), exit 2.
+
+A process enters at ``run``: once ``main`` has flushed the answer, it ends
+with ``os._exit`` and skips the interpreter's teardown (garbage collection
+and module clean-up that the OS makes moot), so atexit callbacks do not
+run. In-process callers use ``main(argv)``, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import asdict
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -81,19 +89,20 @@ def _write(args, payload: dict, csv=None, note: str | None = None) -> int:
     """Write a command's answer to --out ("-" is stdout) and return exit code 0.
 
     JSON is ``payload``. CSV is ``csv(fh)``, by default ``payload`` as dotted
-    key,value rows, followed by ``note``, if any, on stderr.
+    key,value rows, followed by ``note``, if any, on stderr. The answer is
+    flushed here, so that a closed stdout is an io error (exit 2).
     """
     to_file = args.out not in (None, "-")
     with open(args.out, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
         if args.format == "json":
             fh.write(dumps(payload) + "\n")
-            return 0
-        if csv is None:
+        elif csv is None:
             _write_kv_csv(fh, payload)
         else:
             csv(fh)
-        if note is not None:
-            print(note, file=sys.stderr)
+        fh.flush()
+    if args.format == "csv" and note is not None:
+        print(note, file=sys.stderr)
     return 0
 
 
@@ -384,5 +393,21 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Process entry: exit with ``main()``'s code, skipping interpreter teardown.
+
+    argparse's own exits (--help, --version, usage errors) raise SystemExit
+    out of ``main`` and end the process the usual way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with its fd closed
+            # main has reported a failing stdout; a failing stderr leaves
+            # nowhere to report on
+            with suppress(OSError):
+                stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

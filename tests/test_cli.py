@@ -1070,3 +1070,118 @@ def test_construct_prints_no_negative_zero(capsys, tmp_path):
     assert code == 0
     assert "-0.0" not in out
     assert json.loads(out)["entries"][1] == 0.0
+
+
+# --------------------------------------------------------------------------
+# the process entry: cli.run ends the process once the answer is flushed
+# --------------------------------------------------------------------------
+
+PYPROJECT = Path(SRC).parent / "pyproject.toml"
+TABLE1_JSON = json.dumps({"a": TABLE1_A, "b": TABLE1_B})
+
+
+def child_env() -> dict:
+    # Without PYTHONUNBUFFERED a child's stdout is block-buffered, as it is
+    # when a script pipes it, so the answer is still buffered at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def child(argv: list[str], stdin: str = "", **kwargs):
+    return subprocess.run([sys.executable, "-m", "jointselect.cli", *argv], input=stdin,
+                          capture_output=True, text=True, env=child_env(), timeout=60, **kwargs)
+
+
+def test_a_closed_stdout_exits_two_with_one_io_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jointselect.cli", "construct", "-"],
+                              input=TABLE1_JSON, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=child_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Exception ignored" not in proc.stderr and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert json.loads(proc.stderr)["error"] == "io"
+
+
+def test_a_process_started_without_stdout_still_writes_its_out_file(tmp_path):
+    # With fd 1 closed at start sys.stdout is None; an answer bound for
+    # --out never touches it, so the process exits 0 as it always has.
+    out = tmp_path / "answer.json"
+    proc = subprocess.run([sys.executable, "-m", "jointselect.cli", "construct", "-",
+                           "--out", str(out)], input=TABLE1_JSON, stderr=subprocess.PIPE,
+                          text=True, env=child_env(), timeout=60, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(out.read_text(encoding="utf-8"))["branch"] == "zero-loss"
+
+
+PARITY_ARGV = {
+    "construct-json": ["construct", "{table1}"],
+    "construct-csv": ["construct", "{table1}", "--format", "csv"],
+    "baseline-order": ["baseline", "{table1}", "--method", "order"],
+    "sample": ["sample", "{matrix}", "--seed", "42", "--draws", "100000"],
+    "verify-hot": ["verify", "{hot}", "--kkt", "--oracle"],
+    "feasibility": ["feasibility", "{players}"],
+    "require-zero-loss": ["construct", "{hot}", "--require-zero-loss"],
+    "input-error": ["construct", "{missing}"],
+    "version": ["--version"],
+    "usage-error": ["construct", "--no-such-option"],
+}
+
+
+@pytest.mark.parametrize("case", list(PARITY_ARGV))
+def test_a_process_answers_as_main_does_in_process(capsys, tmp_path, table1_file, hot_file,
+                                                   case):
+    matrix = tmp_path / "matrix.json"
+    assert main(["construct", table1_file, "--out", str(matrix)]) == 0
+    players = feas_file(tmp_path, [TABLE1_A, TABLE1_B, [0.25, 0.25, 0.5]])
+    argv = [arg.format(table1=table1_file, hot=hot_file, matrix=matrix, players=players,
+                       missing=tmp_path / "missing.json")
+            for arg in PARITY_ARGV[case]]
+
+    def in_process(argv):
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own exits
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def process(argv):
+        proc = child(argv)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    answer = in_process(argv)
+    assert process(argv) == answer
+    assert answer[0] == {"require-zero-loss": 1, "input-error": 2, "usage-error": 2}.get(case, 0)
+    written = {}
+    for side, call in (("in-process", in_process), ("process", process)):
+        out = tmp_path / f"{side}.out"
+        written[side] = call(argv + ["--out", str(out)]), out.read_bytes() if out.exists() else None
+    assert written["process"] == written["in-process"]
+
+
+def test_the_console_script_exits_as_the_module_does():
+    # The entry point cannot be installed offline, so this calls the
+    # [project.scripts] target the way an installed script does.
+    scripts = PYPROJECT.read_text(encoding="utf-8").split("[project.scripts]", 1)[1]
+    target = scripts.split('jointselect = "', 1)[1].split('"', 1)[0]
+    module, name = target.split(":")
+    assert module == "jointselect.cli"
+    code = (f"import sys; from {module} import {name}; "
+            f"sys.argv[0] = 'jointselect'; sys.exit({name}())")
+    for argv, stdin, exit_code in ((["construct", "-"], TABLE1_JSON, 0),
+                                   (["construct", "-"], "{", 2)):
+        script = subprocess.run([sys.executable, "-c", code, *argv], input=stdin,
+                                capture_output=True, text=True, env=child_env(), timeout=60)
+        module_run = child(argv, stdin)
+        assert (script.returncode, script.stdout, script.stderr) == (
+            module_run.returncode, module_run.stdout, module_run.stderr)
+        assert script.returncode == exit_code
+        if exit_code == 0:
+            assert json.loads(script.stdout)["branch"] == "zero-loss"
